@@ -2,12 +2,11 @@
 // sections on the >= 1M-edge generated social graph:
 //
 // 1. Engine compute speedup: PageRank (10 iterations) and CC (to
-//    convergence) through the legacy sequential path vs the exec core at
-//    1/2/4/8 workers. The steals column is the work-stealing traffic of the
+//    convergence) on the exec core at 1/2/4/8 workers, speedup over the
+//    1-worker run. The steals column is the work-stealing traffic of the
 //    min-time repeat (obs "exec.steals" delta); the identical column
-//    asserts the determinism contract — PR ranks bitwise-equal to the
-//    1-thread exec run at every thread count, CC labels/count bitwise-equal
-//    to the sequential engine.
+//    asserts the determinism contract — PR ranks and CC labels/count
+//    bitwise-equal to the 1-worker run at every thread count.
 //
 // 2. Push vs pull crossover: one PR-style contribution pass over synthetic
 //    frontiers of growing density (1/64 .. all vertices), push (sparse
@@ -84,43 +83,41 @@ int main(int argc, char** argv) {
                "steals", "identical", "beamer_pull"});
   auto add_row = [&](const std::string& app, const std::string& mode,
                      unsigned threads, double frontier_pct, const Timed& t,
-                     double seq_seconds, bool identical, bool beamer_pull) {
+                     double base_seconds, bool identical, bool beamer_pull) {
     table.row()
         .cell(app)
         .cell(mode)
         .cell(static_cast<int>(threads))
         .cell(frontier_pct)
         .cell(t.seconds)
-        .cell(t.seconds > 0 ? seq_seconds / t.seconds : 0.0)
+        .cell(t.seconds > 0 ? base_seconds / t.seconds : 0.0)
         .cell(static_cast<int>(t.steals))
         .cell(identical ? 1 : 0)
         .cell(beamer_pull ? 1 : 0);
   };
 
-  // --- engine compute: sequential vs exec at 1/2/4/8 workers --------------
+  // --- engine compute at 1/2/4/8 workers ----------------------------------
+  // The 1-worker run anchors both the speedup and the bitwise contract.
   {
-    engine::PageRankConfig ref_cfg;
-    ref_cfg.exec.threads = 1;
-    const auto ref = engine::pagerank(g, parts, ref_cfg);
-
-    const Timed seq = time_best(
-        repeats, [&] { (void)engine::pagerank(g, parts, {}); });
-    add_row("pagerank", "seq", 0, 100.0, seq, seq.seconds, true, false);
+    engine::PageRankResult ref;
+    double t1_seconds = 0;
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
       engine::PageRankConfig cfg;
       cfg.exec.threads = threads;
       engine::PageRankResult last;
       const Timed t = time_best(
           repeats, [&] { last = engine::pagerank(g, parts, cfg); });
+      if (threads == 1) {
+        ref = last;
+        t1_seconds = t.seconds;
+      }
       add_row("pagerank", "exec/t" + std::to_string(threads), threads, 100.0,
-              t, seq.seconds, last.rank == ref.rank, false);
+              t, t1_seconds, last.rank == ref.rank, false);
     }
   }
   {
-    const auto ref = engine::connected_components(g, parts);
-    const Timed seq = time_best(
-        repeats, [&] { (void)engine::connected_components(g, parts); });
-    add_row("cc", "seq", 0, 100.0, seq, seq.seconds, true, false);
+    engine::ComponentsResult ref;
+    double t1_seconds = 0;
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
       exec::ExecConfig ec;
       ec.threads = threads;
@@ -128,8 +125,12 @@ int main(int argc, char** argv) {
       const Timed t = time_best(repeats, [&] {
         last = engine::connected_components(g, parts, {}, 200, ec);
       });
+      if (threads == 1) {
+        ref = last;
+        t1_seconds = t.seconds;
+      }
       add_row("cc", "exec/t" + std::to_string(threads), threads, 100.0, t,
-              seq.seconds,
+              t1_seconds,
               last.label == ref.label &&
                   last.num_components == ref.num_components,
               false);

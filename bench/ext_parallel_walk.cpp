@@ -6,8 +6,8 @@
 //    produce bitwise-identical outputs (total steps, message walks, FNV of
 //    the per-vertex visit counts) at 1, 2, 4 and 8 threads, and at a
 //    non-default chunk size — the counter-RNG contract.
-// 2. Speedup: >= 2.5x at 8 threads over the sequential path on the ~2.3M
-//    edge graph. Only asserted when the host actually has >= 8 hardware
+// 2. Speedup: >= 2.5x at 8 threads over 1 thread on the ~2.3M edge
+//    graph. Only asserted when the host actually has >= 8 hardware
 //    threads (CI runners and this container often do not; the table still
 //    reports whatever speedup was measured).
 // 3. Fig. 4 load balance: the per-machine walking-step max-load share under
@@ -101,14 +101,14 @@ int main(int argc, char** argv) {
   Table table({"app", "mode", "threads", "seconds", "speedup", "steals",
                "identical", "steps", "message_walks", "visits_fnv"});
   auto add_row = [&](const std::string& app, const std::string& mode,
-                     unsigned threads, const Timed& t, double seq_seconds,
+                     unsigned threads, const Timed& t, double base_seconds,
                      bool identical, const Outputs& out) {
     table.row()
         .cell(app)
         .cell(mode)
         .cell(static_cast<int>(threads))
         .cell(t.seconds)
-        .cell(t.seconds > 0 ? seq_seconds / t.seconds : 0.0)
+        .cell(t.seconds > 0 ? base_seconds / t.seconds : 0.0)
         .cell(static_cast<int>(t.steals))
         .cell(identical ? 1 : 0)
         .cell(out.steps)
@@ -116,18 +116,14 @@ int main(int argc, char** argv) {
         .cell(out.fnv);
   };
 
-  // --- determinism + speedup: seq vs exec at 1/2/4/8 threads ---------------
+  // --- determinism + speedup: exec at 1/2/4/8 threads ----------------------
   const unsigned hw = std::thread::hardware_concurrency();
   for (const std::string name : {"ppr", "deepwalk", "node2vec"}) {
     const std::unique_ptr<walk::WalkApp> app = walk::create_walk_app(name);
 
-    walk::WalkConfig seq_cfg;
-    walk::WalkReport seq_last;
-    const Timed seq = time_best(
-        repeats, [&] { seq_last = walk::run_walks(g, parts, *app, seq_cfg); });
-    add_row(name, "seq", 0, seq, seq.seconds, true, outputs_of(seq_last));
-
-    Outputs ref;  // the 1-thread exec run anchors the bitwise contract
+    // The 1-thread run anchors both the speedup and the bitwise contract.
+    Outputs ref;
+    double t1_seconds = 0;
     double t8_speedup = 0;
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
       walk::WalkConfig cfg;
@@ -136,7 +132,10 @@ int main(int argc, char** argv) {
       const Timed t = time_best(
           repeats, [&] { last = walk::run_walks(g, parts, *app, cfg); });
       const Outputs out = outputs_of(last);
-      if (threads == 1) ref = out;
+      if (threads == 1) {
+        ref = out;
+        t1_seconds = t.seconds;
+      }
       const bool identical = out == ref;
       if (!identical) {
         LOG_ERROR << name << ": exec outputs at " << threads
@@ -144,8 +143,8 @@ int main(int argc, char** argv) {
         ++failures;
       }
       add_row(name, "exec/t" + std::to_string(threads), threads, t,
-              seq.seconds, identical, out);
-      if (threads == 8 && t.seconds > 0) t8_speedup = seq.seconds / t.seconds;
+              t1_seconds, identical, out);
+      if (threads == 8 && t.seconds > 0) t8_speedup = t1_seconds / t.seconds;
     }
 
     // Chunk-size invariance: boundaries move, outputs must not.
@@ -160,7 +159,7 @@ int main(int argc, char** argv) {
         LOG_ERROR << name << ": exec outputs at chunk_edges=512 diverge";
         ++failures;
       }
-      add_row(name, "exec/t2/c512", 2, {}, seq.seconds, identical, out);
+      add_row(name, "exec/t2/c512", 2, {}, t1_seconds, identical, out);
     }
 
     if (hw >= 8 && t8_speedup < 2.5) {

@@ -1,13 +1,13 @@
 // cluster_playground — a tour of the cluster substrate itself: runs
-// PageRank on the simulated BSP cluster under two partitions and prints the
-// per-iteration timeline (who computed how long, who waited), then
-// demonstrates the *threaded* BSP executor with a message-passing token
-// ring, the same double-buffered superstep semantics real engines use.
+// PageRank under two partitions twice — on the simulated BSP cluster (cost
+// model) and on the measured dist runtime (real threads, barriers and
+// channels) — and prints both per-iteration timelines on the same axes
+// (who computed how long, who waited).
 //
 // Usage: cluster_playground [--graph=twitter] [--parts=8]
 #include <cstdio>
 
-#include "cluster/threaded.hpp"
+#include "dist/pagerank.hpp"
 #include "engine/pagerank.hpp"
 #include "graph/datasets.hpp"
 #include "partition/registry.hpp"
@@ -18,14 +18,14 @@ using namespace bpart;
 namespace {
 
 void timeline(const std::string& label, const cluster::RunReport& run) {
-  std::printf("\n%s: %.3fs simulated, wait ratio %.3f\n", label.c_str(),
+  std::printf("\n%s: %.3fs, wait ratio %.3f\n", label.c_str(),
               run.total_seconds(), run.wait_ratio());
   const std::size_t show = std::min<std::size_t>(run.iterations.size(), 3);
   for (std::size_t it = 0; it < show; ++it) {
     const auto& iter = run.iterations[it];
     std::printf("  iter %zu:", it);
     for (const auto& m : iter.machines)
-      std::printf(" [%.0fms+%.0fms wait]", m.compute_seconds * 1e3,
+      std::printf(" [%.1fms+%.1fms wait]", m.compute_seconds * 1e3,
                   m.wait_seconds * 1e3);
     std::printf("\n");
   }
@@ -41,30 +41,12 @@ int main(int argc, char** argv) {
       graph::build_dataset(graph::dataset_spec(opts.get("graph", "twitter")));
   const auto k = static_cast<partition::PartId>(opts.get_int("parts", 8));
 
-  // --- Part 1: simulated-time accounting ---------------------------------
   for (const char* algo : {"chunk-v", "bpart"}) {
     const auto parts = partition::create(algo)->partition(g, k);
-    const auto result = engine::pagerank(g, parts);
-    timeline(std::string("PageRank under ") + algo, result.run);
+    timeline(std::string("PageRank under ") + algo + ", simulated",
+             engine::pagerank(g, parts).run);
+    timeline(std::string("PageRank under ") + algo + ", measured",
+             dist::pagerank(g, parts).run);
   }
-
-  // --- Part 2: real threads, real barriers --------------------------------
-  // A token circulates the ring of machines; each machine stamps it.
-  std::printf("\nThreaded BSP token ring (%u machines):\n", k);
-  const std::size_t supersteps = cluster::ThreadedBsp::run(
-      k, 64, [&](cluster::MachineContext& ctx, std::size_t step) {
-        if (step == 0 && ctx.self() == 0) ctx.send(1 % k, 1);
-        for (const cluster::Envelope& e : ctx.inbox()) {
-          const std::uint64_t hops = e.payload;
-          if (hops < 2 * k) {
-            ctx.send((ctx.self() + 1) % k, hops + 1);
-          } else {
-            std::printf("  token retired at machine %u after %llu hops\n",
-                        ctx.self(), static_cast<unsigned long long>(hops));
-          }
-        }
-        return cluster::Vote::kHalt;  // messages alone keep the ring alive
-      });
-  std::printf("  ring completed in %zu supersteps\n", supersteps);
   return 0;
 }

@@ -17,28 +17,23 @@ struct LabelMsg {
   graph::VertexId label;
 };
 
+// Per-machine state. A superstep freezes labels and ghost values; each
+// exec worker computes the closed-neighborhood minimum of its vertices and
+// offers it through per-worker min-shards (domain = owned + ghost slots);
+// the merge applies label drops, activations and ghost combines on one
+// thread. Min-merges are order-independent, so labels and superstep counts
+// are identical for every thread count.
 struct CcMachine {
   std::vector<graph::VertexId> lab;  // owned local ids
   GhostBuffer<graph::VertexId> ghosts;  // slot = best-known remote label
   // Current-superstep frontier (consumed by the scan) and next-superstep
-  // frontier (filled by relaxations).
+  // frontier (filled by the merge).
   std::vector<graph::VertexId> frontier, next;
   std::vector<std::uint8_t> in_frontier, in_next;
   // Owned vertices whose label dropped this superstep and that have
   // mirrors — the master -> mirror broadcast list.
   std::vector<graph::VertexId> changed_masters;
   std::vector<std::uint8_t> master_marked;
-};
-
-// Intra-machine parallel scan state. The parallel superstep freezes labels
-// and ghost values, each worker computes the closed-neighborhood minimum of
-// its vertices and offers it through per-worker min-shards (domain = owned
-// + ghost slots); the merge applies label drops, activations and ghost
-// combines on one thread. Min-merges are order-independent, so the final
-// labels match the sequential path's fixpoint for every thread count —
-// though the frozen reads can take more supersteps than the sequential
-// scan's in-place freshness.
-struct CcExecState {
   std::unique_ptr<exec::Executor> ex;
   exec::ChunkScheduler dense_plan;  // owned range, out-edge balanced
   exec::ScatterShards<graph::VertexId> shards;
@@ -57,6 +52,8 @@ engine::ComponentsResult connected_components(const graph::Graph& g,
   const MachineId machines = parts.num_parts();
 
   const DistGraph dg(g, parts);
+  const unsigned exec_threads = opts.exec.resolved_threads();
+  const std::uint32_t chunk_edges = opts.exec.resolved_chunk_edges();
   std::vector<CcMachine> state(machines);
   for (MachineId m = 0; m < machines; ++m) {
     const partition::Subgraph& sub = dg.subgraph(m);
@@ -71,23 +68,11 @@ engine::ComponentsResult connected_components(const graph::Graph& g,
     me.in_frontier.assign(sub.num_local, 1);
     me.in_next.assign(sub.num_local, 0);
     me.master_marked.assign(sub.num_local, 0);
-  }
-
-  const unsigned exec_threads = opts.exec.resolved_threads();
-  const std::uint32_t chunk_edges = opts.exec.resolved_chunk_edges();
-  std::vector<CcExecState> cexec;
-  if (exec_threads > 0) {
-    cexec.resize(machines);
-    for (MachineId m = 0; m < machines; ++m) {
-      const partition::Subgraph& sub = dg.subgraph(m);
-      CcExecState& cx = cexec[m];
-      cx.ex = std::make_unique<exec::Executor>(exec_threads);
-      cx.dense_plan = exec::ChunkScheduler::over_range(
-          sub.local.out_offsets(), 0, sub.num_local, chunk_edges);
-      for (graph::VertexId v = 0; v < sub.num_local; ++v)
-        cx.dense_work +=
-            sub.local.out_degree(v) + sub.local.in_degree(v);
-    }
+    me.ex = std::make_unique<exec::Executor>(exec_threads);
+    me.dense_plan = exec::ChunkScheduler::over_range(
+        sub.local.out_offsets(), 0, sub.num_local, chunk_edges);
+    for (graph::VertexId v = 0; v < sub.num_local; ++v)
+      me.dense_work += sub.local.out_degree(v) + sub.local.in_degree(v);
   }
 
   // Sparse/dense switch: machines report the edge mass of their next
@@ -162,127 +147,72 @@ engine::ComponentsResult connected_components(const graph::Graph& g,
         });
 
         const FrontierMode scan_mode = mode.load(std::memory_order_relaxed);
-        auto relax = [&](graph::VertexId u) {
+        const std::size_t domain =
+            static_cast<std::size_t>(num_local) + sub.num_ghosts;
+        me.shards.reset(*me.ex, domain);
+        // Frozen closed-neighborhood minimum of u, offered to every
+        // neighbor (and u itself) through the min-shards.
+        auto scan_vertex = [&](unsigned w, graph::VertexId u) {
           graph::VertexId lu = me.lab[u];
-          bool u_changed = false;
-          for (graph::VertexId t : sub.local.out_neighbors(u)) {
+          const auto out = sub.local.out_neighbors(u);
+          const auto in = sub.local.in_neighbors(u);
+          for (graph::VertexId t : out) {
+            const graph::VertexId val =
+                t < num_local ? me.lab[t] : me.ghosts.value(t - num_local);
+            if (val < lu) lu = val;
+          }
+          for (graph::VertexId t : in)
+            if (me.lab[t] < lu) lu = me.lab[t];
+          for (graph::VertexId t : out) {
             if (t < num_local) {
-              if (lu < me.lab[t]) {
-                me.lab[t] = lu;
-                activate_next(t);
-                mark_master(t);
-              } else if (me.lab[t] < lu) {
-                lu = me.lab[t];
-                u_changed = true;
-              }
-            } else {
-              const graph::VertexId gi = t - num_local;
-              const graph::VertexId gv = me.ghosts.value(gi);
-              if (lu < gv) {
-                me.ghosts.combine_min(gi, lu);
-              } else if (gv < lu) {
-                lu = gv;
-                u_changed = true;
-              }
+              if (lu < me.lab[t]) me.shards.combine_min(w, t, lu);
+            } else if (lu < me.ghosts.value(t - num_local)) {
+              me.shards.combine_min(w, t, lu);  // t == num_local + ghost
             }
           }
-          for (graph::VertexId w : sub.local.in_neighbors(u)) {
-            if (lu < me.lab[w]) {
-              me.lab[w] = lu;
-              activate_next(w);
-              mark_master(w);
-            } else if (me.lab[w] < lu) {
-              lu = me.lab[w];
-              u_changed = true;
-            }
-          }
-          if (u_changed) {
-            me.lab[u] = lu;
-            activate_next(u);
-            mark_master(u);
-          }
-          ctx.add_work(sub.local.out_degree(u) + sub.local.in_degree(u));
+          for (graph::VertexId t : in)
+            if (lu < me.lab[t]) me.shards.combine_min(w, t, lu);
+          if (lu < me.lab[u]) me.shards.combine_min(w, u, lu);
         };
-
-        if (exec_threads > 0) {
-          CcExecState& cx = cexec[ctx.self()];
-          const std::size_t domain =
-              static_cast<std::size_t>(num_local) + sub.num_ghosts;
-          cx.shards.reset(*cx.ex, domain);
-          // Frozen closed-neighborhood minimum of u, offered to every
-          // neighbor (and u itself) through the min-shards.
-          auto scan_vertex = [&](unsigned w, graph::VertexId u) {
-            graph::VertexId lu = me.lab[u];
-            const auto out = sub.local.out_neighbors(u);
-            const auto in = sub.local.in_neighbors(u);
-            for (graph::VertexId t : out) {
-              const graph::VertexId val = t < num_local
-                                              ? me.lab[t]
-                                              : me.ghosts.value(t - num_local);
-              if (val < lu) lu = val;
-            }
-            for (graph::VertexId t : in)
-              if (me.lab[t] < lu) lu = me.lab[t];
-            for (graph::VertexId t : out) {
-              if (t < num_local) {
-                if (lu < me.lab[t]) cx.shards.combine_min(w, t, lu);
-              } else if (lu < me.ghosts.value(t - num_local)) {
-                cx.shards.combine_min(w, t, lu);  // t == num_local + ghost
-              }
-            }
-            for (graph::VertexId t : in)
-              if (lu < me.lab[t]) cx.shards.combine_min(w, t, lu);
-            if (lu < me.lab[u]) cx.shards.combine_min(w, u, lu);
-          };
-          if (scan_mode == FrontierMode::kDense) {
-            cx.ex->run(cx.dense_plan,
-                       [&](unsigned w, std::uint32_t, graph::VertexId lo,
-                           graph::VertexId hi) {
-                         for (graph::VertexId u = lo; u < hi; ++u)
-                           scan_vertex(w, u);
-                       });
-            ctx.add_work(cx.dense_work);
-          } else {
-            std::uint64_t scan_work = 0;
-            for (graph::VertexId u : me.frontier)
-              scan_work +=
-                  sub.local.out_degree(u) + sub.local.in_degree(u);
-            const auto plan = exec::ChunkScheduler::over_list(
-                me.frontier.size(),
-                [&](std::size_t i) {
-                  return sub.local.out_degree(me.frontier[i]) +
-                         sub.local.in_degree(me.frontier[i]);
-                },
-                chunk_edges);
-            cx.ex->run(plan, [&](unsigned w, std::uint32_t, std::uint32_t lo,
-                                 std::uint32_t hi) {
-              for (std::uint32_t i = lo; i < hi; ++i)
-                scan_vertex(w, me.frontier[i]);
-            });
-            ctx.add_work(scan_work);
-          }
-          cx.shards.merge([&](std::size_t i, graph::VertexId val) {
-            if (i < num_local) {
-              const auto u = static_cast<graph::VertexId>(i);
-              if (val < me.lab[u]) {
-                me.lab[u] = val;
-                activate_next(u);
-                mark_master(u);
-              }
-            } else {
-              me.ghosts.combine_min(
-                  static_cast<graph::VertexId>(i - num_local), val);
-            }
-          });
-        } else if (scan_mode == FrontierMode::kDense) {
-          for (graph::VertexId u = 0; u < num_local; ++u) relax(u);
+        if (scan_mode == FrontierMode::kDense) {
+          me.ex->run(me.dense_plan,
+                     [&](unsigned w, std::uint32_t, graph::VertexId lo,
+                         graph::VertexId hi) {
+                       for (graph::VertexId u = lo; u < hi; ++u)
+                         scan_vertex(w, u);
+                     });
+          ctx.add_work(me.dense_work);
         } else {
-          // The frontier may grow while scanning (activate_now from ghost
-          // relaxation happens during drain, before this loop; scan-time
-          // additions go to `next`), so index-based iteration is safe.
-          for (std::size_t i = 0; i < me.frontier.size(); ++i)
-            relax(me.frontier[i]);
+          std::uint64_t scan_work = 0;
+          for (graph::VertexId u : me.frontier)
+            scan_work += sub.local.out_degree(u) + sub.local.in_degree(u);
+          const auto plan = exec::ChunkScheduler::over_list(
+              me.frontier.size(),
+              [&](std::size_t i) {
+                return sub.local.out_degree(me.frontier[i]) +
+                       sub.local.in_degree(me.frontier[i]);
+              },
+              chunk_edges);
+          me.ex->run(plan, [&](unsigned w, std::uint32_t, std::uint32_t lo,
+                               std::uint32_t hi) {
+            for (std::uint32_t i = lo; i < hi; ++i)
+              scan_vertex(w, me.frontier[i]);
+          });
+          ctx.add_work(scan_work);
         }
+        me.shards.merge([&](std::size_t i, graph::VertexId val) {
+          if (i < num_local) {
+            const auto u = static_cast<graph::VertexId>(i);
+            if (val < me.lab[u]) {
+              me.lab[u] = val;
+              activate_next(u);
+              mark_master(u);
+            }
+          } else {
+            me.ghosts.combine_min(static_cast<graph::VertexId>(i - num_local),
+                                  val);
+          }
+        });
 
         ctx.mark_comm();
         me.ghosts.flush(

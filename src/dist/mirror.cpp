@@ -29,7 +29,7 @@ struct PrShardState {
   std::vector<double> acc;    // masters: combined partials of the round
   double dang_local = 0;      // own masters' dangling mass this round
   double dang_in = 0;         // dangling broadcasts received
-  // Exec-core route for the A-phase gather (empty when exec is off).
+  // Exec core of the A-phase gather.
   std::unique_ptr<exec::Executor> ex;
   exec::ChunkScheduler in_plan;
   std::vector<double> partial;
@@ -57,11 +57,9 @@ engine::PageRankResult mirror_pagerank(const vcut::MirrorGraph& mg,
     st.partial.assign(nr, 0.0);
     for (graph::VertexId r = 0; r < nr; ++r)
       st.gather_work += sh.local.in_degree(r);
-    if (exec_threads > 0 && nr > 0) {
-      st.ex = std::make_unique<exec::Executor>(exec_threads);
-      st.in_plan = exec::ChunkScheduler::over_range(
-          sh.local.in_offsets(), 0, nr, opts.exec.resolved_chunk_edges());
-    }
+    st.ex = std::make_unique<exec::Executor>(exec_threads);
+    st.in_plan = exec::ChunkScheduler::over_range(
+        sh.local.in_offsets(), 0, nr, opts.exec.resolved_chunk_edges());
   }
 
   // Fresh shares + dangling mass out of the masters; runs at superstep 0
@@ -123,19 +121,12 @@ engine::PageRankResult mirror_pagerank(const vcut::MirrorGraph& mg,
             }
           });
           ctx.add_work(st.gather_work);
-          if (st.ex) {
-            exec::process_edges_pull(
-                *st.ex, st.in_plan, sh.local.in_offsets(),
-                sh.local.in_targets(),
-                [&](unsigned, std::uint32_t, graph::VertexId r) {
-                  st.partial[r] = exec::simd::gather_sum(
-                      sh.local.in_neighbors(r), st.share.data());
-                });
-          } else {
-            for (graph::VertexId r = 0; r < nr; ++r)
-              st.partial[r] = exec::simd::gather_sum(
-                  sh.local.in_neighbors(r), st.share.data());
-          }
+          exec::process_edges_pull(
+              *st.ex, st.in_plan, sh.local.in_offsets(), sh.local.in_targets(),
+              [&](unsigned, std::uint32_t, graph::VertexId r) {
+                st.partial[r] = exec::simd::gather_sum(
+                    sh.local.in_neighbors(r), st.share.data());
+              });
           ctx.mark_comm();
           for (graph::VertexId r = 0; r < nr; ++r) {
             if (sh.is_master[r]) {

@@ -23,23 +23,20 @@ struct PrMsg {
 constexpr graph::VertexId kDanglingSentinel =
     std::numeric_limits<graph::VertexId>::max();
 
+// Per-machine state. The superstep is pull-shaped regardless of PrMode:
+// shares and per-chunk dangling partials are computed over edge-balanced
+// chunks, local mass is gathered per destination in CSR order
+// (deterministic for any worker count), and only the precollected boundary
+// edges scatter into ghost slots, sequentially. PrMode only moves where the
+// local gather happens — at emit (push) or at the next finalize (pull) — so
+// both modes ship the same ghost-aggregated messages.
 struct PrMachine {
   std::vector<double> rank;   // owned local ids
   std::vector<double> acc;    // incoming contributions, owned local ids
-  std::vector<double> share;  // rank/outdeg emitted this round (pull mode)
+  std::vector<double> share;  // rank/outdeg emitted this round
   GhostBuffer<double> ghosts;
   double dangling_local = 0;
   double dangling_received = 0;
-};
-
-// Per-machine state of the intra-machine parallel path. The parallel
-// superstep is pull-shaped regardless of PrMode: shares and per-chunk
-// dangling partials are computed over edge-balanced chunks, local mass is
-// gathered per destination in CSR order (deterministic for any worker
-// count), and only the precollected boundary edges scatter into ghost
-// slots, sequentially. Message traffic is identical to the sequential
-// path's.
-struct PrExecState {
   std::unique_ptr<exec::Executor> ex;
   exec::ChunkScheduler out_plan;  // owned range, out-edge balanced
   exec::ChunkScheduler in_plan;   // owned range, local-in-edge balanced
@@ -66,9 +63,6 @@ engine::PageRankResult pagerank(const graph::Graph& g,
   std::vector<PrMachine> state(machines);
 
   const unsigned exec_threads = opts.exec.resolved_threads();
-  std::vector<PrExecState> pexec;
-  if (exec_threads > 0) pexec.resize(machines);
-
   // All per-machine state — rank/acc/share vectors, ghost slots, exec
   // plans, boundary lists — is allocated and first written inside the
   // runtime's init_machine hook, i.e. on the worker thread that owns the
@@ -78,25 +72,24 @@ engine::PageRankResult pagerank(const graph::Graph& g,
   const std::uint32_t chunk_edges = opts.exec.resolved_chunk_edges();
   auto init_machine = [&](MachineId m) {
     const partition::Subgraph& sub = dg.subgraph(m);
-    state[m].rank.assign(sub.num_local, inv_n);
-    state[m].acc.assign(sub.num_local, 0.0);
-    state[m].share.assign(sub.num_local, 0.0);
-    state[m].ghosts.reset(sub.num_ghosts, 0.0);
-    if (exec_threads == 0) return;
-    PrExecState& px = pexec[m];
-    px.ex = std::make_unique<exec::Executor>(exec_threads);
-    px.out_plan = exec::ChunkScheduler::over_range(
+    PrMachine& me = state[m];
+    me.rank.assign(sub.num_local, inv_n);
+    me.acc.assign(sub.num_local, 0.0);
+    me.share.assign(sub.num_local, 0.0);
+    me.ghosts.reset(sub.num_ghosts, 0.0);
+    me.ex = std::make_unique<exec::Executor>(exec_threads);
+    me.out_plan = exec::ChunkScheduler::over_range(
         sub.local.out_offsets(), 0, sub.num_local, chunk_edges);
-    px.in_plan = exec::ChunkScheduler::over_range(
+    me.in_plan = exec::ChunkScheduler::over_range(
         sub.local.in_offsets(), 0, sub.num_local, chunk_edges);
-    px.chunk_dangling.assign(px.out_plan.num_chunks(), 0.0);
+    me.chunk_dangling.assign(me.out_plan.num_chunks(), 0.0);
     for (graph::VertexId v = 0; v < sub.num_local; ++v) {
       const auto degree = sub.local.out_degree(v);
-      px.emit_work += degree == 0 ? 1 : degree;
-      px.gather_work += sub.local.in_degree(v);
+      me.emit_work += degree == 0 ? 1 : degree;
+      me.gather_work += sub.local.in_degree(v);
       for (graph::VertexId t : sub.local.out_neighbors(v))
         if (t >= sub.num_local)
-          px.boundary.emplace_back(v, t - sub.num_local);
+          me.boundary.emplace_back(v, t - sub.num_local);
     }
   };
 
@@ -105,9 +98,10 @@ engine::PageRankResult pagerank(const graph::Graph& g,
   //      round s-1's accumulation;
   //   2. if s > 0: finalize round s-1's ranks (pull mode gathers the local
   //      in-edges here, against the shares recorded at s-1);
-  //   3. if s < iterations: emit round s — push local contributions (or
-  //      record shares), aggregate boundary contributions in ghost slots,
-  //      flush one message per dirty ghost, broadcast dangling mass.
+  //   3. if s < iterations: emit round s — record shares (push mode also
+  //      gathers the local in-edges now), aggregate boundary contributions
+  //      in ghost slots, flush one message per dirty ghost, broadcast
+  //      dangling mass.
   // Superstep `iterations` only drains and finalizes.
   RuntimeConfig rcfg;
   rcfg.threads = opts.threads;
@@ -126,9 +120,6 @@ engine::PageRankResult pagerank(const graph::Graph& g,
             me.acc[dg.owner_local(msg.vertex)] += msg.value;
         });
 
-        PrExecState* px =
-            exec_threads > 0 ? &pexec[ctx.self()] : nullptr;
-
         if (s > 0) {
           const double dangling = me.dangling_received + me.dangling_local;
           const double base =
@@ -136,41 +127,25 @@ engine::PageRankResult pagerank(const graph::Graph& g,
           if (mode == PrMode::kPull) {
             // Gather local in-edges against last round's shares; remote
             // in-edge mass already arrived via the drained messages.
-            if (px != nullptr) {
-              exec::process_edges_pull(
-                  *px->ex, px->in_plan, sub.local.in_offsets(),
-                  sub.local.in_targets(),
-                  [&](unsigned, std::uint32_t, graph::VertexId v) {
-                    const double local_sum = exec::simd::gather_sum(
-                        sub.local.in_neighbors(v), me.share.data());
-                    me.rank[v] = base + cfg.damping * (local_sum + me.acc[v]);
-                    me.acc[v] = 0.0;
-                  });
-              ctx.add_work(px->gather_work);
-            } else {
-              for (graph::VertexId v = 0; v < num_local; ++v) {
-                const auto in = sub.local.in_neighbors(v);
-                const double local_sum =
-                    exec::simd::gather_sum(in, me.share.data());
-                ctx.add_work(in.size());
-                me.rank[v] = base + cfg.damping * (local_sum + me.acc[v]);
-                me.acc[v] = 0.0;
-              }
-            }
-          } else if (px != nullptr) {
-            px->ex->run(px->out_plan,
-                        [&](unsigned, std::uint32_t, graph::VertexId lo,
-                            graph::VertexId hi) {
-                          for (graph::VertexId v = lo; v < hi; ++v) {
-                            me.rank[v] = base + cfg.damping * me.acc[v];
-                            me.acc[v] = 0.0;
-                          }
-                        });
+            exec::process_edges_pull(
+                *me.ex, me.in_plan, sub.local.in_offsets(),
+                sub.local.in_targets(),
+                [&](unsigned, std::uint32_t, graph::VertexId v) {
+                  const double local_sum = exec::simd::gather_sum(
+                      sub.local.in_neighbors(v), me.share.data());
+                  me.rank[v] = base + cfg.damping * (local_sum + me.acc[v]);
+                  me.acc[v] = 0.0;
+                });
+            ctx.add_work(me.gather_work);
           } else {
-            for (graph::VertexId v = 0; v < num_local; ++v) {
-              me.rank[v] = base + cfg.damping * me.acc[v];
-              me.acc[v] = 0.0;
-            }
+            me.ex->run(me.out_plan,
+                       [&](unsigned, std::uint32_t, graph::VertexId lo,
+                           graph::VertexId hi) {
+                         for (graph::VertexId v = lo; v < hi; ++v) {
+                           me.rank[v] = base + cfg.damping * me.acc[v];
+                           me.acc[v] = 0.0;
+                         }
+                       });
           }
           me.dangling_received = 0.0;
           me.dangling_local = 0.0;
@@ -178,68 +153,38 @@ engine::PageRankResult pagerank(const graph::Graph& g,
 
         if (s >= cfg.iterations) return Vote::kHalt;
 
-        if (px != nullptr) {
-          // Parallel emit, pull-shaped for both modes: shares and per-chunk
-          // dangling partials over edge-balanced chunks; in push mode local
-          // mass is gathered per destination right away (CSR order), in
-          // pull mode it waits for the next finalize. Boundary edges
-          // scatter sequentially from the precollected list, so ghost
-          // traffic is identical to the sequential path's.
-          px->ex->run(px->out_plan,
-                      [&](unsigned, std::uint32_t chunk, graph::VertexId lo,
-                          graph::VertexId hi) {
-                        double dangling = 0.0;
-                        for (graph::VertexId v = lo; v < hi; ++v) {
-                          const auto degree = sub.local.out_degree(v);
-                          if (degree == 0) {
-                            dangling += me.rank[v];
-                            me.share[v] = 0.0;
-                          } else {
-                            me.share[v] =
-                                me.rank[v] / static_cast<double>(degree);
-                          }
-                        }
-                        px->chunk_dangling[chunk] = dangling;
-                      });
-          for (const double d : px->chunk_dangling) me.dangling_local += d;
-          if (mode == PrMode::kPush) {
-            exec::process_edges_pull(
-                *px->ex, px->in_plan, sub.local.in_offsets(),
-                sub.local.in_targets(),
-                [&](unsigned, std::uint32_t, graph::VertexId v) {
-                  me.acc[v] += exec::simd::gather_sum(
-                      sub.local.in_neighbors(v), me.share.data());
-                });
-          }
-          for (const auto& [v, gi] : px->boundary)
-            me.ghosts.add(gi, me.share[v]);
-          ctx.add_work(px->emit_work);
-        } else {
-          for (graph::VertexId v = 0; v < num_local; ++v) {
-            const auto degree = sub.local.out_degree(v);
-            if (degree == 0) {
-              me.dangling_local += me.rank[v];
-              ctx.add_work(1);
-              continue;
-            }
-            const double share = me.rank[v] / static_cast<double>(degree);
-            if (mode == PrMode::kPull) {
-              // Local mass moves via next superstep's gather; only boundary
-              // edges scatter into ghost slots.
-              me.share[v] = share;
-              for (graph::VertexId t : sub.local.out_neighbors(v))
-                if (t >= num_local) me.ghosts.add(t - num_local, share);
-            } else {
-              for (graph::VertexId t : sub.local.out_neighbors(v)) {
-                if (t < num_local)
-                  me.acc[t] += share;
-                else
-                  me.ghosts.add(t - num_local, share);
-              }
-            }
-            ctx.add_work(degree);
-          }
+        // Emit, pull-shaped for both modes: shares and per-chunk dangling
+        // partials over edge-balanced chunks; in push mode local mass is
+        // gathered per destination right away (CSR order), in pull mode it
+        // waits for the next finalize. Boundary edges scatter sequentially
+        // from the precollected list, in a fixed order.
+        me.ex->run(me.out_plan,
+                   [&](unsigned, std::uint32_t chunk, graph::VertexId lo,
+                       graph::VertexId hi) {
+                     double dangling = 0.0;
+                     for (graph::VertexId v = lo; v < hi; ++v) {
+                       const auto degree = sub.local.out_degree(v);
+                       if (degree == 0) {
+                         dangling += me.rank[v];
+                         me.share[v] = 0.0;
+                       } else {
+                         me.share[v] = me.rank[v] / static_cast<double>(degree);
+                       }
+                     }
+                     me.chunk_dangling[chunk] = dangling;
+                   });
+        for (const double d : me.chunk_dangling) me.dangling_local += d;
+        if (mode == PrMode::kPush) {
+          exec::process_edges_pull(
+              *me.ex, me.in_plan, sub.local.in_offsets(),
+              sub.local.in_targets(),
+              [&](unsigned, std::uint32_t, graph::VertexId v) {
+                me.acc[v] += exec::simd::gather_sum(sub.local.in_neighbors(v),
+                                                    me.share.data());
+              });
         }
+        for (const auto& [v, gi] : me.boundary) me.ghosts.add(gi, me.share[v]);
+        ctx.add_work(me.emit_work);
 
         ctx.mark_comm();
         me.ghosts.flush([&](graph::VertexId ghost, double value) {

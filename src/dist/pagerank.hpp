@@ -14,13 +14,14 @@
 
 namespace bpart::dist {
 
-/// Local work scheduling of the owned piece, Gemini's two modes:
-///  - kPush scatters each vertex's share along its out-edges;
-///  - kPull gathers shares over the local in-CSR (boundary contributions
-///    still arrive as ghost-aggregated messages — remote in-edges live on
-///    the remote machine either way).
-/// Message traffic and results are identical; only the local access
-/// pattern differs.
+/// When the owned piece moves its local mass, Gemini's two modes. Both
+/// gather shares per destination over the local in-CSR (a fixed summation
+/// order at any thread count):
+///  - kPush gathers in the emitting superstep, as a push delivers it;
+///  - kPull gathers at the next superstep's finalize.
+/// Boundary contributions arrive as ghost-aggregated messages either way —
+/// remote in-edges live on the remote machine. Message traffic and results
+/// are identical.
 enum class PrMode : std::uint8_t { kPush, kPull };
 
 engine::PageRankResult pagerank(const graph::Graph& g,

@@ -47,8 +47,7 @@ struct DistOptions {
   /// per machine, capped by BPART_THREADS / hardware concurrency.
   unsigned threads = 0;
   /// Intra-machine parallelism for each machine's per-superstep compute
-  /// (src/exec/). resolved_threads() == 0 — the default when
-  /// $BPART_EXEC_THREADS is unset — keeps the sequential step bodies.
+  /// (src/exec/); results do not depend on it.
   exec::ExecConfig exec;
 };
 

@@ -16,20 +16,15 @@ struct DistMsg {
   std::uint64_t distance;
 };
 
+// Per-machine state. Distances are frozen for each superstep's scan;
+// candidates min-combine through per-worker shards (domain = owned + ghost
+// slots), and the merge applies improvements, activations and ghost
+// combines on one thread. Deterministic for every thread count.
 struct SsspMachine {
   std::vector<std::uint64_t> dist;  // owned local ids
   GhostBuffer<std::uint64_t> ghosts;  // best candidate ever sent per ghost
   std::vector<graph::VertexId> frontier, next;
   std::vector<std::uint8_t> in_frontier, in_next;
-};
-
-// Intra-machine parallel relaxation state: distances are frozen for the
-// scan, candidates min-combine through per-worker shards (domain = owned +
-// ghost slots), and the merge applies improvements, activations and ghost
-// combines on one thread. Deterministic for every thread count; the frozen
-// reads can cost extra supersteps versus the sequential loop's in-place
-// freshness, but the distances converge to the same fixpoint.
-struct SsspExecState {
   std::unique_ptr<exec::Executor> ex;
   exec::ScatterShards<std::uint64_t> shards;
 };
@@ -57,6 +52,7 @@ engine::SsspResult sssp(const graph::Graph& g,
     me.ghosts.reset(sub.num_ghosts, kInf);
     me.in_frontier.assign(sub.num_local, 0);
     me.in_next.assign(sub.num_local, 0);
+    me.ex = std::make_unique<exec::Executor>(opts.exec.resolved_threads());
   }
   {
     const MachineId src_owner = dg.owner(source);
@@ -66,14 +62,7 @@ engine::SsspResult sssp(const graph::Graph& g,
     state[src_owner].in_frontier[l] = 1;
   }
 
-  const unsigned exec_threads = opts.exec.resolved_threads();
   const std::uint32_t chunk_edges = opts.exec.resolved_chunk_edges();
-  std::vector<SsspExecState> sexec;
-  if (exec_threads > 0) {
-    sexec.resize(machines);
-    for (MachineId m = 0; m < machines; ++m)
-      sexec[m].ex = std::make_unique<exec::Executor>(exec_threads);
-  }
 
   RuntimeConfig rcfg;
   rcfg.threads = opts.threads;
@@ -99,75 +88,49 @@ engine::SsspResult sssp(const graph::Graph& g,
           }
         });
 
-        if (exec_threads > 0) {
-          SsspExecState& sx = sexec[ctx.self()];
-          const std::size_t domain =
-              static_cast<std::size_t>(num_local) + sub.num_ghosts;
-          sx.shards.reset(*sx.ex, domain);
-          std::uint64_t scan_work = 0;
-          for (graph::VertexId u : me.frontier)
-            scan_work += sub.local.out_degree(u) + 1;
-          const auto plan = exec::ChunkScheduler::over_list(
-              me.frontier.size(),
-              [&](std::size_t i) {
-                return sub.local.out_degree(me.frontier[i]);
-              },
-              chunk_edges);
-          sx.ex->run(plan, [&](unsigned w, std::uint32_t, std::uint32_t lo,
-                               std::uint32_t hi) {
-            for (std::uint32_t i = lo; i < hi; ++i) {
-              const graph::VertexId u = me.frontier[i];
-              const std::uint64_t du = me.dist[u];
-              const graph::VertexId gu = sub.global_id[u];
-              for (graph::VertexId t : sub.local.out_neighbors(u)) {
-                const std::uint64_t cand =
-                    du + engine::sssp_edge_weight(gu, sub.global_id[t], cfg);
-                if (t < num_local) {
-                  if (cand < me.dist[t]) sx.shards.combine_min(w, t, cand);
-                } else if (cand < me.ghosts.value(t - num_local)) {
-                  sx.shards.combine_min(w, t, cand);  // slot num_local+ghost
-                }
-              }
-            }
-          });
-          sx.shards.merge([&](std::size_t i, std::uint64_t cand) {
-            if (i < num_local) {
-              const auto t = static_cast<graph::VertexId>(i);
-              if (cand < me.dist[t]) {
-                me.dist[t] = cand;
-                if (!me.in_next[t]) {
-                  me.in_next[t] = 1;
-                  me.next.push_back(t);
-                }
-              }
-            } else {
-              me.ghosts.combine_min(
-                  static_cast<graph::VertexId>(i - num_local), cand);
-            }
-          });
-          ctx.add_work(scan_work);
-        } else {
-          for (std::size_t i = 0; i < me.frontier.size(); ++i) {
+        const std::size_t domain =
+            static_cast<std::size_t>(num_local) + sub.num_ghosts;
+        me.shards.reset(*me.ex, domain);
+        std::uint64_t scan_work = 0;
+        for (graph::VertexId u : me.frontier)
+          scan_work += sub.local.out_degree(u) + 1;
+        const auto plan = exec::ChunkScheduler::over_list(
+            me.frontier.size(),
+            [&](std::size_t i) { return sub.local.out_degree(me.frontier[i]); },
+            chunk_edges);
+        me.ex->run(plan, [&](unsigned w, std::uint32_t, std::uint32_t lo,
+                             std::uint32_t hi) {
+          for (std::uint32_t i = lo; i < hi; ++i) {
             const graph::VertexId u = me.frontier[i];
             const std::uint64_t du = me.dist[u];
             const graph::VertexId gu = sub.global_id[u];
             for (graph::VertexId t : sub.local.out_neighbors(u)) {
-              const graph::VertexId gt = sub.global_id[t];
               const std::uint64_t cand =
-                  du + engine::sssp_edge_weight(gu, gt, cfg);
+                  du + engine::sssp_edge_weight(gu, sub.global_id[t], cfg);
               if (t < num_local) {
-                if (cand < me.dist[t] && !me.in_next[t]) {
-                  me.in_next[t] = 1;
-                  me.next.push_back(t);
-                }
-                if (cand < me.dist[t]) me.dist[t] = cand;
-              } else {
-                me.ghosts.combine_min(t - num_local, cand);
+                if (cand < me.dist[t]) me.shards.combine_min(w, t, cand);
+              } else if (cand < me.ghosts.value(t - num_local)) {
+                me.shards.combine_min(w, t, cand);  // slot num_local+ghost
               }
             }
-            ctx.add_work(sub.local.out_degree(u) + 1);
           }
-        }
+        });
+        me.shards.merge([&](std::size_t i, std::uint64_t cand) {
+          if (i < num_local) {
+            const auto t = static_cast<graph::VertexId>(i);
+            if (cand < me.dist[t]) {
+              me.dist[t] = cand;
+              if (!me.in_next[t]) {
+                me.in_next[t] = 1;
+                me.next.push_back(t);
+              }
+            }
+          } else {
+            me.ghosts.combine_min(static_cast<graph::VertexId>(i - num_local),
+                                  cand);
+          }
+        });
+        ctx.add_work(scan_work);
 
         ctx.mark_comm();
         me.ghosts.flush(

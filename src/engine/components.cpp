@@ -1,7 +1,5 @@
 #include "engine/components.hpp"
 
-#include <optional>
-
 #include "engine/exec_tallies.hpp"
 #include "exec/edge_map.hpp"
 #include "exec/frontier.hpp"
@@ -31,15 +29,10 @@ ComponentsResult connected_components(const graph::Graph& g,
   exec::Frontier next(n);
   for (graph::VertexId v = 0; v < n; ++v) frontier.add(v);
 
-  const unsigned threads = exec_cfg.resolved_threads();
   const std::uint32_t chunk_edges = exec_cfg.resolved_chunk_edges();
-  std::optional<exec::Executor> ex;
+  exec::Executor ex(exec_cfg.resolved_threads());
   exec::ScatterShards<graph::VertexId> shards;
-  std::optional<WorkerTallies> tallies;
-  if (threads > 0) {
-    ex.emplace(threads);
-    tallies.emplace(ex->threads(), ctx.num_machines());
-  }
+  WorkerTallies tallies(ex.threads(), ctx.num_machines());
 
   for (unsigned iter = 0; iter < max_iterations; ++iter) {
     if (frontier.empty()) break;
@@ -50,50 +43,33 @@ ComponentsResult connected_components(const graph::Graph& g,
     // next frontier is exactly {u : next_label[u] < label[u]} — a property
     // of the final minima, so push order (and thread count) cannot change
     // it.
-    if (threads == 0) {
-      for (graph::VertexId v : frontier.active()) {
-        const cluster::MachineId owner = ctx.machine_of(v);
-        const graph::VertexId lv = label[v];
-        auto push = [&](graph::VertexId u) {
-          ctx.sim().add_message(owner, ctx.machine_of(u));
-          if (lv < next_label[u]) {
-            next_label[u] = lv;
-            next.add(u);
-          }
-        };
-        ctx.sim().add_work(owner, g.out_degree(v) + g.in_degree(v));
-        for (graph::VertexId u : g.out_neighbors(v)) push(u);
-        for (graph::VertexId u : g.in_neighbors(v)) push(u);
+    const std::span<const graph::VertexId> list = frontier.active();
+    const auto plan = exec::ChunkScheduler::over_list(
+        list.size(),
+        [&](std::size_t i) {
+          return g.out_degree(list[i]) + g.in_degree(list[i]);
+        },
+        chunk_edges);
+    shards.reset(ex, n);
+    exec::process_edges_push(
+        ex, plan, frontier, [&](unsigned w, graph::VertexId v) {
+          const cluster::MachineId owner = ctx.machine_of(v);
+          const graph::VertexId lv = label[v];
+          auto push = [&](graph::VertexId u) {
+            tallies.add_message(w, owner, ctx.machine_of(u));
+            if (lv < label[u]) shards.combine_min(w, u, lv);
+          };
+          tallies.add_work(w, owner, g.out_degree(v) + g.in_degree(v));
+          for (graph::VertexId u : g.out_neighbors(v)) push(u);
+          for (graph::VertexId u : g.in_neighbors(v)) push(u);
+        });
+    shards.merge([&](std::size_t u, graph::VertexId lv) {
+      if (lv < next_label[u]) {
+        next_label[u] = lv;
+        next.add(static_cast<graph::VertexId>(u));
       }
-    } else {
-      const std::span<const graph::VertexId> list = frontier.active();
-      const auto plan = exec::ChunkScheduler::over_list(
-          list.size(),
-          [&](std::size_t i) {
-            return g.out_degree(list[i]) + g.in_degree(list[i]);
-          },
-          chunk_edges);
-      shards.reset(*ex, n);
-      exec::process_edges_push(
-          *ex, plan, frontier, [&](unsigned w, graph::VertexId v) {
-            const cluster::MachineId owner = ctx.machine_of(v);
-            const graph::VertexId lv = label[v];
-            auto push = [&](graph::VertexId u) {
-              tallies->add_message(w, owner, ctx.machine_of(u));
-              if (lv < label[u]) shards.combine_min(w, u, lv);
-            };
-            tallies->add_work(w, owner, g.out_degree(v) + g.in_degree(v));
-            for (graph::VertexId u : g.out_neighbors(v)) push(u);
-            for (graph::VertexId u : g.in_neighbors(v)) push(u);
-          });
-      shards.merge([&](std::size_t u, graph::VertexId lv) {
-        if (lv < next_label[u]) {
-          next_label[u] = lv;
-          next.add(static_cast<graph::VertexId>(u));
-        }
-      });
-      tallies->flush(ctx.sim());
-    }
+    });
+    tallies.flush(ctx.sim());
 
     for (graph::VertexId u : next.active()) label[u] = next_label[u];
     frontier.swap(next);

@@ -19,10 +19,9 @@ struct ComponentsResult {
 /// label to all neighbors; a vertex adopting a smaller label activates for
 /// the next round. Operates on the undirected view (out+in neighbors), so
 /// labels equal the weakly connected component minima.
-/// `exec` routes the superstep scan through the exec core (threads >= 1 or
-/// $BPART_EXEC_THREADS set); labels, component count and the run report are
-/// bit-identical to the sequential path for every thread count (min-label
-/// merges are order-independent).
+/// `exec` sizes the exec core that runs each superstep's scan; labels,
+/// component count and the run report are bit-identical for every thread
+/// count (min-label merges are order-independent).
 ComponentsResult connected_components(const graph::Graph& g,
                                       const partition::Partition& parts,
                                       cluster::CostModel model = {},

@@ -7,71 +7,25 @@
 
 namespace bpart::engine {
 
-namespace {
-
-// Sequential reference path, kept verbatim: push rank/deg along out-edges,
-// reporting work and messages edge by edge.
-PageRankResult pagerank_seq(const graph::Graph& g,
-                            const partition::Partition& parts,
-                            const PageRankConfig& cfg,
-                            cluster::CostModel model) {
-  DistContext ctx(g, parts, model);
-  const graph::VertexId n = g.num_vertices();
-  const double inv_n = n > 0 ? 1.0 / static_cast<double>(n) : 0.0;
-
-  std::vector<double> rank(n, inv_n);
-  std::vector<double> next(n, 0.0);
-
-  for (unsigned iter = 0; iter < cfg.iterations; ++iter) {
-    BPART_SPAN("engine/iteration", "iteration", static_cast<double>(iter));
-    ctx.sim().begin_iteration();
-    std::fill(next.begin(), next.end(), 0.0);
-    double dangling_mass = 0.0;
-
-    for (graph::VertexId v = 0; v < n; ++v) {
-      const cluster::MachineId owner = ctx.machine_of(v);
-      const auto degree = g.out_degree(v);
-      if (degree == 0) {
-        dangling_mass += rank[v];
-        ctx.sim().add_work(owner, 1);
-        continue;
-      }
-      ctx.sim().add_work(owner, degree);
-      const double share = rank[v] / static_cast<double>(degree);
-      for (graph::VertexId u : g.out_neighbors(v)) {
-        next[u] += share;
-        ctx.sim().add_message(owner, ctx.machine_of(u));
-      }
-    }
-
-    const double base = (1.0 - cfg.damping) * inv_n +
-                        cfg.damping * dangling_mass * inv_n;
-    for (graph::VertexId v = 0; v < n; ++v)
-      next[v] = base + cfg.damping * next[v];
-    rank.swap(next);
-    ctx.sim().end_iteration();
-  }
-
-  return PageRankResult{std::move(rank), ctx.sim().finish()};
-}
-
-// Parallel path. Ranks are computed pull-style — each destination gathers
-// shares from its in-neighbors in CSR order — so every floating-point sum
-// has a fixed association independent of worker count or steal schedule.
-// Dangling mass is reduced as per-chunk partials folded in chunk order;
-// chunk boundaries depend only on the CSR offsets and the chunk size, never
-// on threads. The accounting (work per machine, message matrix) does not
-// change across iterations, so it is tallied once and replayed.
-PageRankResult pagerank_exec(const graph::Graph& g,
-                             const partition::Partition& parts,
-                             const PageRankConfig& cfg,
-                             cluster::CostModel model, unsigned threads) {
+// Ranks are computed pull-style — each destination gathers shares from its
+// in-neighbors in CSR order — so every floating-point sum has a fixed
+// association independent of worker count or steal schedule. Dangling mass
+// is reduced as per-chunk partials folded in chunk order; chunk boundaries
+// depend only on the CSR offsets and the chunk size, never on threads. The
+// accounting (work per machine, message matrix) does not change across
+// iterations, so it is tallied once and replayed.
+PageRankResult pagerank(const graph::Graph& g,
+                        const partition::Partition& parts,
+                        const PageRankConfig& cfg, cluster::CostModel model) {
+  BPART_SPAN("engine/pagerank", "vertices",
+             static_cast<double>(g.num_vertices()), "iterations",
+             static_cast<double>(cfg.iterations));
   DistContext ctx(g, parts, model);
   const graph::VertexId n = g.num_vertices();
   const double inv_n = n > 0 ? 1.0 / static_cast<double>(n) : 0.0;
   const std::uint32_t chunk_edges = cfg.exec.resolved_chunk_edges();
 
-  exec::Executor ex(threads);
+  exec::Executor ex(cfg.exec.resolved_threads());
   const auto out_plan =
       exec::ChunkScheduler::over_range(g.out_offsets(), 0, n, chunk_edges);
   const auto in_plan =
@@ -142,19 +96,6 @@ PageRankResult pagerank_exec(const graph::Graph& g,
   }
 
   return PageRankResult{std::move(rank), ctx.sim().finish()};
-}
-
-}  // namespace
-
-PageRankResult pagerank(const graph::Graph& g,
-                        const partition::Partition& parts,
-                        const PageRankConfig& cfg, cluster::CostModel model) {
-  BPART_SPAN("engine/pagerank", "vertices",
-             static_cast<double>(g.num_vertices()), "iterations",
-             static_cast<double>(cfg.iterations));
-  const unsigned threads = cfg.exec.resolved_threads();
-  if (threads == 0) return pagerank_seq(g, parts, cfg, model);
-  return pagerank_exec(g, parts, cfg, model, threads);
 }
 
 }  // namespace bpart::engine

@@ -1,4 +1,4 @@
-// Distributed PageRank (push-style, fixed iteration count) — one of the two
+// Distributed PageRank (fixed iteration count) — one of the two
 // Gemini applications in the paper's evaluation (§4.1 runs PR for ten
 // iterations).
 #pragma once
@@ -13,10 +13,8 @@ namespace bpart::engine {
 struct PageRankConfig {
   double damping = 0.85;
   unsigned iterations = 10;
-  /// Intra-machine parallel execution (src/exec/). Threads unset (and no
-  /// $BPART_EXEC_THREADS) keeps the sequential push loop bit-identical to
-  /// the pre-exec engine; threads >= 1 runs the chunk-scheduled pull path,
-  /// whose ranks are bit-identical across thread counts.
+  /// Intra-machine parallel execution (src/exec/): the chunk-scheduled pull
+  /// gather, whose ranks are bit-identical across thread counts.
   exec::ExecConfig exec;
 };
 
@@ -25,24 +23,14 @@ struct PageRankResult {
   cluster::RunReport run;
 };
 
-/// Each iteration, every machine streams its owned vertices' out-edges,
-/// pushing rank/out_degree to each neighbor; contributions crossing a
-/// partition boundary are counted as messages. Dangling vertices distribute
-/// their rank uniformly (handled as a global correction term, no traffic).
+/// Each iteration, every machine sends rank/out_degree along its owned
+/// vertices' out-edges; contributions crossing a partition boundary are
+/// counted as messages. Dangling vertices distribute their rank uniformly
+/// (handled as a global correction term, no traffic). The measured
+/// counterpart on real threads and channels is dist::pagerank.
 PageRankResult pagerank(const graph::Graph& g,
                         const partition::Partition& parts,
                         const PageRankConfig& cfg = {},
                         cluster::CostModel model = {});
-
-/// The same computation executed on REAL threads over the message-passing
-/// BSP executor (cluster::ThreadedBsp): one thread per partition, owned
-/// state only, cross-machine contributions shipped as datagrams (vertex id
-/// + float contribution packed into the payload), dangling mass reduced by
-/// broadcast. Exists to validate that the accounting engine's results are
-/// what a genuinely distributed execution produces; contributions travel as
-/// floats, so ranks match pagerank() to ~1e-4 rather than bit-exactly.
-PageRankResult pagerank_threaded(const graph::Graph& g,
-                                 const partition::Partition& parts,
-                                 const PageRankConfig& cfg = {});
 
 }  // namespace bpart::engine

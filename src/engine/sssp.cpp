@@ -1,7 +1,5 @@
 #include "engine/sssp.hpp"
 
-#include <optional>
-
 #include "engine/exec_tallies.hpp"
 #include "exec/edge_map.hpp"
 #include "exec/frontier.hpp"
@@ -18,62 +16,17 @@ std::uint32_t sssp_edge_weight(graph::VertexId u, graph::VertexId v,
          1;
 }
 
-namespace {
-
-// Sequential reference path, kept verbatim. Relaxations read distances
-// updated earlier in the same scan, so convergence can take fewer
-// supersteps than strict BSP would.
-SsspResult sssp_seq(const graph::Graph& g, const partition::Partition& parts,
-                    graph::VertexId source, const SsspConfig& cfg,
-                    cluster::CostModel model) {
-  DistContext ctx(g, parts, model);
-  const graph::VertexId n = g.num_vertices();
-
-  SsspResult result;
-  result.distance.assign(n, SsspResult::kUnreachable);
-  result.distance[source] = 0;
-
-  std::vector<bool> active(n, false), next_active(n, false);
-  active[source] = true;
-  bool any = true;
-
-  while (any) {
-    ctx.sim().begin_iteration();
-    std::fill(next_active.begin(), next_active.end(), false);
-    any = false;
-    for (graph::VertexId v = 0; v < n; ++v) {
-      if (!active[v]) continue;
-      const cluster::MachineId owner = ctx.machine_of(v);
-      ctx.sim().add_work(owner, g.out_degree(v) + 1);
-      const std::uint64_t dv = result.distance[v];
-      for (graph::VertexId u : g.out_neighbors(v)) {
-        ctx.sim().add_message(owner, ctx.machine_of(u));
-        const std::uint64_t cand = dv + sssp_edge_weight(v, u, cfg);
-        if (cand < result.distance[u]) {
-          result.distance[u] = cand;
-          next_active[u] = true;
-          any = true;
-        }
-      }
-    }
-    active.swap(next_active);
-    ctx.sim().end_iteration();
-  }
-
-  result.run = ctx.sim().finish();
-  return result;
-}
-
-// Parallel path: strict BSP. A superstep relaxes out-edges of the frontier
-// against distances frozen at the superstep start, min-combining candidates
-// through per-worker shards; the merge applies improvements and builds the
-// next frontier. Min-merges and the integer accounting tallies are
+// Strict BSP: a superstep relaxes out-edges of the frontier against
+// distances frozen at the superstep start, min-combining candidates through
+// per-worker shards; the merge applies improvements and builds the next
+// frontier. Min-merges and the integer accounting tallies are
 // order-independent, so distances, supersteps and the run report are
-// deterministic across thread counts (though the superstep schedule — and
-// hence the report — differs from the sequential path's fresh-read loop).
-SsspResult sssp_exec(const graph::Graph& g, const partition::Partition& parts,
-                     graph::VertexId source, const SsspConfig& cfg,
-                     cluster::CostModel model, unsigned threads) {
+// deterministic across thread counts.
+SsspResult sssp(const graph::Graph& g, const partition::Partition& parts,
+                graph::VertexId source, const SsspConfig& cfg,
+                cluster::CostModel model) {
+  BPART_CHECK(source < g.num_vertices());
+  BPART_CHECK(cfg.max_weight >= 1);
   DistContext ctx(g, parts, model);
   const graph::VertexId n = g.num_vertices();
   const std::uint32_t chunk_edges = cfg.exec.resolved_chunk_edges();
@@ -86,7 +39,7 @@ SsspResult sssp_exec(const graph::Graph& g, const partition::Partition& parts,
   exec::Frontier next(n);
   frontier.add(source);
 
-  exec::Executor ex(threads);
+  exec::Executor ex(cfg.exec.resolved_threads());
   exec::ScatterShards<std::uint64_t> shards;
   WorkerTallies tallies(ex.threads(), ctx.num_machines());
 
@@ -122,18 +75,6 @@ SsspResult sssp_exec(const graph::Graph& g, const partition::Partition& parts,
 
   result.run = ctx.sim().finish();
   return result;
-}
-
-}  // namespace
-
-SsspResult sssp(const graph::Graph& g, const partition::Partition& parts,
-                graph::VertexId source, const SsspConfig& cfg,
-                cluster::CostModel model) {
-  BPART_CHECK(source < g.num_vertices());
-  BPART_CHECK(cfg.max_weight >= 1);
-  const unsigned threads = cfg.exec.resolved_threads();
-  if (threads == 0) return sssp_seq(g, parts, source, cfg, model);
-  return sssp_exec(g, parts, source, cfg, model, threads);
 }
 
 }  // namespace bpart::engine

@@ -15,11 +15,9 @@ namespace bpart::engine {
 struct SsspConfig {
   std::uint32_t max_weight = 16;  ///< Weights uniform in [1, max_weight].
   std::uint64_t weight_seed = 99;
-  /// Intra-machine parallel execution. The exec path freezes distances for
-  /// the whole superstep (strict BSP), so its relaxation schedule — and
-  /// superstep count — can differ from the sequential loop's; the final
-  /// distances are identical (shortest-path fixpoint) and deterministic
-  /// across thread counts.
+  /// Intra-machine parallel execution. Distances are frozen for the whole
+  /// superstep (strict BSP), so distances, superstep count and the run
+  /// report are deterministic across thread counts.
   exec::ExecConfig exec;
 };
 

@@ -1,10 +1,12 @@
 // Knobs of the intra-machine parallel execution core.
 //
-// Every engine- and dist-level app carries an ExecConfig. The zero value
-// means "consult the environment": $BPART_EXEC_THREADS picks the worker
-// count (unset keeps the app's legacy sequential code path, bit-identical
-// to before the exec core existed), $BPART_EXEC_CHUNK the edges-per-chunk
-// target of the scheduler. Tests and benches set the fields explicitly.
+// Every engine- and dist-level app carries an ExecConfig and runs through
+// the exec core; the knobs only pick how many workers share each chunk
+// plan. The zero value means "consult the environment": $BPART_EXEC_THREADS
+// picks the worker count (default 1, which executes inline), and
+// $BPART_EXEC_CHUNK the edges-per-chunk target of the scheduler. Results
+// are bit-identical at every worker count, so the knobs move speed only.
+// Tests and benches set the fields explicitly.
 #pragma once
 
 #include <cstdint>
@@ -12,14 +14,13 @@
 namespace bpart::exec {
 
 struct ExecConfig {
-  /// Exec-core workers. 0 = $BPART_EXEC_THREADS; if that is unset too, the
-  /// app keeps its sequential legacy path (resolved_threads() == 0).
+  /// Exec-core workers. 0 = $BPART_EXEC_THREADS, or 1 when that is unset.
   unsigned threads = 0;
   /// Edges per scheduler chunk. 0 = $BPART_EXEC_CHUNK (default 4096).
   std::uint32_t chunk_edges = 0;
 
-  /// 0 = run the legacy sequential path; >= 1 = run the exec path with
-  /// that many workers (1 executes inline, still through the scheduler).
+  /// Workers to run with, always >= 1 (1 executes inline, still through
+  /// the scheduler).
   [[nodiscard]] unsigned resolved_threads() const;
   [[nodiscard]] std::uint32_t resolved_chunk_edges() const;
 };

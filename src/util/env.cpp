@@ -79,12 +79,12 @@ unsigned thread_count(unsigned requested) {
 unsigned exec_threads() {
   constexpr long kMaxThreads = 256;
   const char* env = std::getenv("BPART_EXEC_THREADS");
-  if (env == nullptr) return 0;
+  if (env == nullptr) return 1;
   try {
     const long v = std::stol(env);
     if (v < 1) {
       LOG_WARN << "BPART_EXEC_THREADS must be >= 1, got " << env;
-      return 0;
+      return 1;
     }
     if (v > kMaxThreads) {
       LOG_WARN << "BPART_EXEC_THREADS=" << v << " clamped to " << kMaxThreads;
@@ -93,7 +93,7 @@ unsigned exec_threads() {
     return static_cast<unsigned>(v);
   } catch (const std::exception&) {
     LOG_WARN << "BPART_EXEC_THREADS is not a number: " << env;
-    return 0;
+    return 1;
   }
 }
 

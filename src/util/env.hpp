@@ -27,10 +27,9 @@ double dataset_scale();
 unsigned thread_count(unsigned requested = 0);
 
 /// Worker threads of the intra-machine exec core (src/exec/), read from
-/// $BPART_EXEC_THREADS on every call. 0 means "unset": engines keep their
-/// legacy sequential code path, so existing callers are bit-identical
-/// unless the environment (or an explicit ExecConfig) opts in. Values are
-/// clamped to [1, 256]; junk falls through to 0.
+/// $BPART_EXEC_THREADS on every call. Default 1 (inline execution), clamped
+/// to [1, 256]; junk falls through to the default. Results do not depend
+/// on it, only speed does.
 unsigned exec_threads();
 
 /// Target edges per scheduler chunk of the exec core, read from

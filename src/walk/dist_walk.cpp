@@ -31,8 +31,8 @@ struct WalkMachine {
   std::vector<Walker> queue;  // walkers currently on this machine (local ids)
   std::uint64_t total_steps = 0;
   std::uint64_t message_walks = 0;
-  // Exec path only: per-machine executor plus per-chunk outgoing buffers
-  // and step tallies, merged in chunk order after each superstep's run.
+  // Per-machine executor plus per-chunk outgoing buffers and step tallies,
+  // merged in chunk order after each superstep's run.
   std::unique_ptr<exec::Executor> ex;
   std::vector<std::vector<Outgoing>> chunk_out;
   std::vector<std::uint64_t> chunk_steps;
@@ -110,14 +110,12 @@ DistWalkReport run_simple_walks_dist(const graph::Graph& g,
       state[parts[v]].queue.push_back(
           Walker{static_cast<std::uint64_t>(r) * n + v, 0, dg.owner_local(v)});
 
-  const unsigned exec_threads = cfg.exec.resolved_threads();
   // Walker batches are weight-free (see run_walks): 1/16th of the
   // edge-chunk target, >= 1.
   const std::uint32_t batch =
       std::max<std::uint32_t>(1, cfg.exec.resolved_chunk_edges() / 16);
-  if (exec_threads > 0)
-    for (cluster::MachineId m = 0; m < machines; ++m)
-      state[m].ex = std::make_unique<exec::Executor>(exec_threads);
+  for (WalkMachine& m : state)
+    m.ex = std::make_unique<exec::Executor>(cfg.exec.resolved_threads());
 
   dist::RuntimeConfig rcfg;
   rcfg.max_supersteps = cfg.max_supersteps;
@@ -131,42 +129,32 @@ DistWalkReport run_simple_walks_dist(const graph::Graph& g,
           me.queue.push_back(Walker{w.id, w.steps, dg.owner_local(w.at)});
         });
 
-        std::uint64_t steps = 0;
-        if (me.ex == nullptr) {
-          for (const Walker& w : me.queue)
-            steps += advance_walker(
-                w, sub, rank[ctx.self()], cfg, num_local,
-                [&](cluster::MachineId dst, Walker out) {
-                  ctx.send(dst, out);
-                  ++me.message_walks;
+        // Chunk the queue and buffer shipments per chunk; chunks are
+        // contiguous slices of the queue, so flushing the buffers in chunk
+        // order gives the channel the same content order whatever worker
+        // ran each chunk.
+        const auto plan =
+            exec::ChunkScheduler::over_items(me.queue.size(), batch);
+        me.chunk_out.assign(plan.num_chunks(), {});
+        me.chunk_steps.assign(plan.num_chunks(), 0);
+        me.ex->run(plan, [&](unsigned, std::uint32_t c, std::uint32_t lo,
+                             std::uint32_t hi) {
+          auto& out = me.chunk_out[c];
+          std::uint64_t local_steps = 0;
+          for (std::uint32_t i = lo; i < hi; ++i)
+            local_steps += advance_walker(
+                me.queue[i], sub, rank[ctx.self()], cfg, num_local,
+                [&](cluster::MachineId dst, Walker shipped) {
+                  out.push_back(Outgoing{dst, shipped});
                 });
-        } else {
-          // Chunk the queue and buffer shipments per chunk; flushing the
-          // buffers in chunk order reproduces the sequential drain's
-          // channel content order exactly (chunks are contiguous slices of
-          // the queue), whatever worker ran each chunk.
-          const auto plan =
-              exec::ChunkScheduler::over_items(me.queue.size(), batch);
-          me.chunk_out.assign(plan.num_chunks(), {});
-          me.chunk_steps.assign(plan.num_chunks(), 0);
-          me.ex->run(plan, [&](unsigned, std::uint32_t c, std::uint32_t lo,
-                               std::uint32_t hi) {
-            auto& out = me.chunk_out[c];
-            std::uint64_t local_steps = 0;
-            for (std::uint32_t i = lo; i < hi; ++i)
-              local_steps += advance_walker(
-                  me.queue[i], sub, rank[ctx.self()], cfg, num_local,
-                  [&](cluster::MachineId dst, Walker shipped) {
-                    out.push_back(Outgoing{dst, shipped});
-                  });
-            me.chunk_steps[c] = local_steps;
-          });
-          for (std::size_t c = 0; c < me.chunk_out.size(); ++c) {
-            steps += me.chunk_steps[c];
-            for (const Outgoing& o : me.chunk_out[c]) {
-              ctx.send(o.dst, o.w);
-              ++me.message_walks;
-            }
+          me.chunk_steps[c] = local_steps;
+        });
+        std::uint64_t steps = 0;
+        for (std::size_t c = 0; c < me.chunk_out.size(); ++c) {
+          steps += me.chunk_steps[c];
+          for (const Outgoing& o : me.chunk_out[c]) {
+            ctx.send(o.dst, o.w);
+            ++me.message_walks;
           }
         }
         me.queue.clear();

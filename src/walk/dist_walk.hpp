@@ -1,16 +1,38 @@
-// Random-walk engine on the dist:: measured runtime — the walker-shipping
-// counterpart of run_simple_walks_threaded, but over Channel<Walker> typed
-// batches instead of packed 64-bit envelopes. The struct payload lifts the
-// packed format's limits (2^24 walkers, 255 steps) and the returned
-// cluster::RunReport carries measured per-machine compute/wait seconds and
-// walker bytes shipped, so walk workloads plot on the same axes as the
-// cost-model simulations (fig13's measured column).
+// Random-walk engine on the dist:: measured runtime: fixed-length uniform
+// walks, KnightKing-style. Each machine owns the walkers currently on its
+// vertices and advances them greedily until they finish, dead-end or cross
+// a partition boundary; a crossing walker ships to its new owner over the
+// Channel<Walker> typed batches. The returned cluster::RunReport carries
+// measured per-machine compute/wait seconds and walker bytes shipped, so
+// walk workloads plot on the same axes as the cost-model simulations
+// (fig13's measured column).
+//
+// Every step draws from the counter-based stream keyed on
+// (seed, walker, step) — the same streams run_walks() uses — so a walker's
+// trajectory is a pure function of the seed: step totals, message-walk
+// counts and per-walker paths are identical across machine counts, exec
+// thread counts, and identical to run_walks() with SimpleRandomWalk.
 #pragma once
 
+#include <cstdint>
+
 #include "cluster/bsp.hpp"
-#include "walk/threaded_walk.hpp"
+#include "exec/exec_config.hpp"
+#include "graph/csr.hpp"
+#include "partition/partition.hpp"
 
 namespace bpart::walk {
+
+struct ThreadedWalkConfig {
+  unsigned length = 4;  ///< Steps per walker.
+  unsigned walks_per_vertex = 1;
+  std::uint64_t seed = 1;
+  std::size_t max_supersteps = 100000;
+  /// Exec-core workers that advance each machine's walker queue over
+  /// over_items chunks; outgoing walkers merge in chunk order before the
+  /// channel flush, so outputs do not depend on it.
+  exec::ExecConfig exec;
+};
 
 struct DistWalkReport {
   std::uint64_t total_steps = 0;
@@ -20,7 +42,7 @@ struct DistWalkReport {
 };
 
 /// Runs walks_per_vertex × |V| fixed-length uniform walks, one machine per
-/// partition, over the dist runtime. No walker-count or length limits.
+/// partition, over the dist runtime (util::thread_count() worker threads).
 DistWalkReport run_simple_walks_dist(const graph::Graph& g,
                                      const partition::Partition& parts,
                                      const ThreadedWalkConfig& cfg = {});

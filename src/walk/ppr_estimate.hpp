@@ -19,8 +19,8 @@ struct PprConfig {
   double stop_prob = 0.15;          ///< 1 - damping.
   std::size_t top_k = 20;
   std::uint64_t seed = 1;
-  /// Passed through to WalkConfig::exec (see walk_engine.hpp): >= 1 thread
-  /// runs the walks on the exec core with keyed RNG streams.
+  /// Passed through to WalkConfig::exec (see walk_engine.hpp); scores do
+  /// not depend on it.
   exec::ExecConfig exec;
 };
 

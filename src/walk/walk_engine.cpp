@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "exec/edge_map.hpp"
 #include "exec/scheduler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -12,11 +11,10 @@ namespace bpart::walk {
 
 namespace {
 
-/// Walker materialization shared by both code paths: walks_per_vertex per
-/// start vertex, round-major in vertex order (the KnightKing
-/// initialization), an explicit source list overriding the every-vertex
-/// default. Walker i's identity — the key of its RNG streams — is its index
-/// in this order.
+/// Walker materialization: walks_per_vertex per start vertex, round-major
+/// in vertex order (the KnightKing initialization), an explicit source list
+/// overriding the every-vertex default. Walker i's identity — the key of
+/// its RNG streams — is its index in this order.
 std::vector<WalkerState> materialize_walkers(const graph::Graph& g,
                                              const WalkConfig& cfg,
                                              WalkReport& report) {
@@ -45,72 +43,14 @@ std::vector<WalkerState> materialize_walkers(const graph::Graph& g,
   return walkers;
 }
 
-/// Legacy sequential path: one shared RNG stream consumed in walker order,
-/// bit-identical to the engine as it existed before the exec port.
-void run_walks_sequential(const graph::Graph& g,
-                          const partition::Partition& parts,
-                          const WalkApp& app, const WalkConfig& cfg,
-                          cluster::BspSimulation& sim,
-                          std::vector<WalkerState>& walkers,
-                          WalkReport& report) {
-  const graph::VertexId n = g.num_vertices();
-  const std::uint64_t num_walkers = walkers.size();
-  std::vector<std::uint8_t> alive(num_walkers, 1);
-
-  Xoshiro256 shared(cfg.seed);
-  StepRng rng(shared);
-
-  std::uint64_t active = num_walkers;
-  for (unsigned iter = 0; iter < cfg.max_iterations && active > 0; ++iter) {
-    sim.begin_iteration();
-    for (std::uint64_t i = 0; i < num_walkers; ++i) {
-      if (!alive[i]) continue;
-      WalkerState& w = walkers[i];
-      // Greedy compute phase: the hosting machine advances this walker
-      // until it terminates or leaves the machine (one step per iteration
-      // when greedy_local is off).
-      for (;;) {
-        const cluster::MachineId here = parts[w.current];
-        // Taking (or attempting) a step is one unit of computing load on
-        // the machine currently hosting the walker.
-        sim.add_work(here, 1);
-        const StepDecision d = app.step(w, g, rng);
-        if (d.terminate) {
-          alive[i] = 0;
-          --active;
-          break;
-        }
-        BPART_CHECK_MSG(d.next < n, "walk app stepped outside the graph");
-        const cluster::MachineId there = parts[d.next];
-        w.previous = w.current;
-        w.current = d.next;
-        ++w.steps_taken;
-        ++report.total_steps;
-        ++report.visits[d.next];
-        if (cfg.record_paths) report.paths[i].push_back(d.next);
-        if (there != here) {
-          sim.add_message(here, there);
-          ++report.message_walks;
-          break;  // shipped: resumes on `there` next iteration
-        }
-        if (!cfg.greedy_local) break;
-      }
-    }
-    sim.end_iteration();
-  }
-}
-
-/// Exec-core path: walker batches over the chunk scheduler, keyed RNG
-/// streams, per-worker tallies and visit shards merged on the calling
-/// thread. Bitwise identical for every thread count and chunk size —
-/// trajectories are pure functions of (seed, walker, step), and every
-/// accumulator is an integer sum.
-void run_walks_parallel(const graph::Graph& g,
-                        const partition::Partition& parts, const WalkApp& app,
-                        const WalkConfig& cfg, unsigned threads,
-                        cluster::BspSimulation& sim,
-                        std::vector<WalkerState>& walkers,
-                        WalkReport& report) {
+/// Walker batches over the chunk scheduler, keyed RNG streams, per-worker
+/// tallies and visit counts merged on the calling thread. Bitwise identical
+/// for every thread count and chunk size — trajectories are pure functions
+/// of (seed, walker, step), and every accumulator is an integer sum.
+void step_walkers(const graph::Graph& g, const partition::Partition& parts,
+                  const WalkApp& app, const WalkConfig& cfg, unsigned threads,
+                  cluster::BspSimulation& sim,
+                  std::vector<WalkerState>& walkers, WalkReport& report) {
   const graph::VertexId n = g.num_vertices();
   const cluster::MachineId machines = parts.num_parts();
   const std::uint64_t num_walkers = walkers.size();
@@ -138,7 +78,12 @@ void run_walks_parallel(const graph::Graph& g,
     t.work.assign(machines, 0);
     t.msgs.assign(static_cast<std::size_t>(machines) * machines, 0);
   }
-  exec::ScatterShards<std::uint64_t> visit_shards;
+  // Visit counts per worker, summed into the report after the last
+  // iteration; worker 0 counts straight into the report.
+  std::vector<std::vector<std::uint64_t>> extra_visits(
+      workers - 1, std::vector<std::uint64_t>(n, 0));
+  std::vector<std::uint64_t*> visits(workers, report.visits.data());
+  for (unsigned w = 1; w < workers; ++w) visits[w] = extra_visits[w - 1].data();
 
   // Alive walker indices, ascending; rebuilt serially after each iteration
   // so the chunk plan of iteration k is a pure function of the surviving
@@ -152,7 +97,6 @@ void run_walks_parallel(const graph::Graph& g,
     BPART_SPAN("walk/iteration", "active",
                static_cast<double>(active_ids.size()));
     sim.begin_iteration();
-    visit_shards.reset(ex, n);
     for (Tally& t : tally) {
       std::fill(t.work.begin(), t.work.end(), 0);
       std::fill(t.msgs.begin(), t.msgs.end(), 0);
@@ -182,6 +126,9 @@ void run_walks_parallel(const graph::Graph& g,
         std::size_t batch_pos = kBatch;
 #endif
         for (;;) {
+          // Greedy compute phase: each step attempt is one unit of load on
+          // the machine hosting the walker, which keeps advancing it until
+          // it stops or leaves (one step per iteration without greedy_local).
           const cluster::MachineId here = parts[wk.current];
           ++t.work[here];
           // Each step() call of walker i is uniquely indexed by its
@@ -209,7 +156,7 @@ void run_walks_parallel(const graph::Graph& g,
           wk.current = d.next;
           ++wk.steps_taken;
           ++t.steps;
-          visit_shards.add(w, d.next, 1);
+          ++visits[w][d.next];
           if (cfg.record_paths) report.paths[i].push_back(d.next);
           if (there != here) {
             ++t.msgs[static_cast<std::size_t>(here) * machines + there];
@@ -235,8 +182,6 @@ void run_walks_parallel(const graph::Graph& g,
           }
         }
     }
-    visit_shards.merge(
-        [&](std::size_t i, std::uint64_t v) { report.visits[i] += v; });
     sim.end_iteration();
 
     // Compact the survivors, preserving ascending walker order.
@@ -245,6 +190,8 @@ void run_walks_parallel(const graph::Graph& g,
       if (alive[i]) active_ids[kept++] = i;
     active_ids.resize(kept);
   }
+  for (const auto& counts : extra_visits)
+    for (graph::VertexId v = 0; v < n; ++v) report.visits[v] += counts[v];
 }
 
 }  // namespace
@@ -266,11 +213,7 @@ WalkReport run_walks(const graph::Graph& g, const partition::Partition& parts,
   const unsigned threads = cfg.exec.resolved_threads();
   BPART_SPAN("walk/run", "walkers", static_cast<double>(walkers.size()),
              "threads", static_cast<double>(threads));
-  if (threads == 0) {
-    run_walks_sequential(g, parts, app, cfg, sim, walkers, report);
-  } else {
-    run_walks_parallel(g, parts, app, cfg, threads, sim, walkers, report);
-  }
+  step_walkers(g, parts, app, cfg, threads, sim, walkers, report);
 
   obs::counter("walk.steps").add(report.total_steps);
   obs::counter("walk.message_walks").add(report.message_walks);

@@ -7,13 +7,11 @@
 // number of walking steps it executes (Fig. 4), so per-iteration balance
 // and waiting time (Figs. 12/13) fall straight out of the accounting.
 //
-// Walker stepping runs on the exec core when WalkConfig::exec (or
-// $BPART_EXEC_THREADS) says so: walker batches are chunked with the
-// weight-free over_items mode and every step draws from a counter-based
-// RNG stream keyed on (seed, walker, step), so results are bitwise
-// identical at any thread count and chunk size (DESIGN.md §13). Unset
-// keeps the legacy sequential path, bit-identical to the pre-parallel
-// engine (one shared Xoshiro256 stream consumed in walker order).
+// Walker stepping runs on the exec core (WalkConfig::exec or
+// $BPART_EXEC_THREADS picks the worker count): walker batches are chunked
+// with the weight-free over_items mode and every step draws from a
+// counter-based RNG stream keyed on (seed, walker, step), so results are
+// bitwise identical at any thread count and chunk size (DESIGN.md §13).
 #pragma once
 
 #include <cstdint>
@@ -29,27 +27,18 @@
 
 namespace bpart::walk {
 
-/// The RNG handed to a walk application for one step. One branch per draw
-/// selects between two modes behind a uniform surface:
-///  * shared mode wraps the engine's single Xoshiro256 stream — the legacy
-///    sequential path, bit-identical to the pre-parallel engine;
-///  * keyed mode owns a CounterRng stream derived from
-///    (seed, walker id, step index), so a step's draws are a pure function
-///    of the key — independent of scheduling, chunking and thread count.
-/// uniform/bounded/chance use the exact arithmetic of Xoshiro256's
-/// helpers, so shared mode consumes the underlying stream identically to
-/// the old direct calls.
+/// The RNG handed to a walk application for one step: a CounterRng stream
+/// derived from (seed, walker id, step index), so a step's draws are a pure
+/// function of the key — independent of scheduling, chunking and thread
+/// count. uniform/bounded/chance use the exact arithmetic of Xoshiro256's
+/// helpers.
 class StepRng {
  public:
-  /// Shared (legacy) mode over the engine's sequential stream.
-  explicit StepRng(Xoshiro256& shared) noexcept
-      : shared_(&shared), keyed_(0, 0, 0) {}
-
-  /// Keyed (parallel) mode: an independent stream per (seed, walker, step).
+  /// An independent stream per (seed, walker, step).
   StepRng(std::uint64_t seed, std::uint64_t walker, std::uint64_t step) noexcept
-      : shared_(nullptr), keyed_(seed, walker, step) {}
+      : keyed_(seed, walker, step) {}
 
-  /// Keyed mode from a batched stream head (CounterRng::first_draws):
+  /// The same stream from a batched stream head (CounterRng::first_draws):
   /// next() hands out `first` and then continues from `post_state` — the
   /// exact draw sequence of the three-argument constructor, with the key
   /// derivation already paid in the vectorized batch.
@@ -66,7 +55,7 @@ class StepRng {
       has_pending_ = false;
       return pending_;
     }
-    return shared_ != nullptr ? (*shared_)() : keyed_();
+    return keyed_();
   }
 
   /// Uniform double in [0, 1).
@@ -93,10 +82,8 @@ class StepRng {
   bool chance(double p) noexcept { return uniform() < p; }
 
  private:
-  explicit StepRng(CounterRng keyed) noexcept
-      : shared_(nullptr), keyed_(keyed) {}
+  explicit StepRng(CounterRng keyed) noexcept : keyed_(keyed) {}
 
-  Xoshiro256* shared_;  // non-null = shared mode
   CounterRng keyed_;
   std::uint64_t pending_ = 0;  // first draw handed out before keyed_ runs
   bool has_pending_ = false;
@@ -152,10 +139,8 @@ struct WalkConfig {
   /// Record every walker's full path (memory: walkers × length). Off by
   /// default; the embeddings example turns it on.
   bool record_paths = false;
-  /// Exec-core routing: resolved_threads() >= 1 steps walkers in parallel
-  /// over chunked batches (chunk size = resolved_chunk_edges() walkers) on
-  /// keyed CounterRng streams; 0 (threads unset and $BPART_EXEC_THREADS
-  /// unset) keeps the legacy sequential path on the shared stream.
+  /// Exec-core workers that step walker batches in parallel (batch size =
+  /// resolved_chunk_edges() / 16 walkers); outputs do not depend on it.
   exec::ExecConfig exec;
 };
 

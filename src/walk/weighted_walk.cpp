@@ -41,11 +41,6 @@ WeightedRandomWalk::WeightedRandomWalk(const graph::Graph& g, Config cfg)
     }
   };
 
-  if (threads == 0 || n == 0) {
-    std::vector<double> weights;
-    build_range(0, n, weights);
-    return;
-  }
   exec::Executor ex(threads);
   const auto plan = exec::ChunkScheduler::over_range(
       g.out_offsets(), 0, n, cfg_.exec.resolved_chunk_edges());

@@ -24,10 +24,9 @@ struct WeightedWalkConfig {
   unsigned length = 8;
   std::uint64_t weight_seed = 7;
   std::uint32_t max_weight = 16;
-  /// Exec-core routing for alias construction: resolved_threads() >= 1
-  /// builds the per-vertex tables in parallel over edge-balanced vertex
-  /// chunks (each table depends only on its own vertex, so the result is
-  /// identical at any thread count); 0 keeps the sequential build.
+  /// Exec-core workers that build the per-vertex alias tables over
+  /// edge-balanced vertex chunks (each table depends only on its own
+  /// vertex, so the result is identical at any thread count).
   exec::ExecConfig exec;
 };
 

@@ -58,27 +58,44 @@ TEST(DistWalk, SinglePartitionNeverShips) {
   EXPECT_EQ(r.supersteps, 1u);  // all walks complete in the first superstep
 }
 
-TEST(DistWalk, MatchesThreadedEngineExactly) {
-  // Both engines draw from the counter streams keyed (seed, walker, step),
-  // so trajectories — not just totals — are identical: step AND
-  // message-walk counts must agree exactly.
-  const graph::Graph g = cycle_graph(512);
-  const partition::Partition parts =
-      partition::create("chunk-v")->partition(g, 4);
+TEST(DistWalk, LocalPartitionShipsFewerWalkersThanHash) {
+  graph::WattsStrogatzConfig wcfg;
+  wcfg.num_vertices = 1024;
+  wcfg.k = 4;
+  wcfg.beta = 0.2;
+  wcfg.seed = 3;
+  const graph::Graph g = graph::Graph::from_edges(graph::watts_strogatz(wcfg));
   ThreadedWalkConfig cfg;
   cfg.length = 8;
-  cfg.walks_per_vertex = 2;
-  const DistWalkReport dist = run_simple_walks_dist(g, parts, cfg);
-  const ThreadedWalkReport threaded =
-      run_simple_walks_threaded(g, parts, cfg);
-  EXPECT_EQ(dist.total_steps, threaded.total_steps);
-  EXPECT_EQ(dist.message_walks, threaded.message_walks);
+  const DistWalkReport chunk = run_simple_walks_dist(
+      g, partition::create("chunk-v")->partition(g, 4), cfg);
+  const DistWalkReport hash = run_simple_walks_dist(
+      g, partition::create("hash")->partition(g, 4), cfg);
+  EXPECT_EQ(chunk.total_steps, hash.total_steps);
+  EXPECT_LT(chunk.message_walks, hash.message_walks);
+}
+
+TEST(DistWalk, DeadEndsTerminateEarly) {
+  graph::EdgeList el;
+  el.add(0, 1);
+  el.add(1, 2);  // 2 is a sink
+  const graph::Graph g = graph::Graph::from_edges(el);
+  partition::Partition parts(3, 2);
+  parts.assign(0, 0);
+  parts.assign(1, 1);
+  parts.assign(2, 0);
+  ThreadedWalkConfig cfg;
+  cfg.length = 10;
+  const DistWalkReport r = run_simple_walks_dist(g, parts, cfg);
+  // Walker@0: 2 steps; walker@1: 1 step; walker@2: 0.
+  EXPECT_EQ(r.total_steps, 3u);
+  EXPECT_EQ(r.message_walks, 3u);  // 0->1, then 1->2 for walkers @0 and @1
 }
 
 TEST(DistWalk, ExecPathMatchesSequentialDrain) {
   // A branching graph so every step actually draws. Counter streams plus
-  // chunk-order channel flushes make the exec path reproduce the
-  // sequential drain exactly at every thread count.
+  // chunk-order channel flushes make every exec thread count reproduce the
+  // default one-worker (sequential) drain exactly.
   graph::WattsStrogatzConfig wcfg;
   wcfg.num_vertices = 512;
   wcfg.k = 4;

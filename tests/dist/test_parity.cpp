@@ -1,8 +1,8 @@
 // The acceptance gate for the dist:: runtime: for EVERY registered
-// partitioner, the distributed apps running over >= 4 machines must agree
-// with the single-threaded accounting engines — exactly for CC and SSSP
-// (monotone min fixpoints), to 1e-10 L-inf for PageRank (double-precision
-// contributions, machine-dependent summation order).
+// partitioner and several machine counts, the distributed apps must agree
+// with the accounting engines — exactly for CC and SSSP (monotone min
+// fixpoints), to 1e-10 L-inf for PageRank (double-precision contributions,
+// machine-dependent summation order).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -108,6 +108,18 @@ TEST_P(DistParity, PowerLawGraph) {
   const partition::Partition parts =
       partition::create(GetParam())->partition(*powerlaw_graph_, kMachines);
   check_parity(*powerlaw_graph_, *powerlaw_base_, parts);
+}
+
+TEST_P(DistParity, MachineCountInvariance) {
+  // The engine baselines come from 4 parts; one machine (no ghosts), an
+  // odd count and more machines than runtime threads must all reproduce
+  // them.
+  for (const partition::PartId k : {1u, 3u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << k << " machines");
+    const partition::Partition parts =
+        partition::create(GetParam())->partition(*random_graph_, k);
+    check_parity(*random_graph_, *random_base_, parts);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -74,6 +74,42 @@ TEST(DistRuntime, TokenRingAndMeasuredReport) {
   EXPECT_EQ(r.report.compute_seconds_per_machine().size(), kMachines);
 }
 
+TEST(DistRuntime, MessagesArriveNextSuperstep) {
+  // Machine 0 sends its superstep number to machine 1; machine 1 must read
+  // exactly s-1 at superstep s, and nothing at superstep 0.
+  constexpr std::size_t kSteps = 4;
+  std::atomic<bool> ok{true};
+  RuntimeConfig cfg;
+  cfg.max_supersteps = kSteps;
+  const RunResult r = Runtime<Msg>::run(
+      2, cfg, [&](Runtime<Msg>::Context& ctx, std::size_t s) {
+        if (ctx.self() == 0) {
+          ctx.send(1, s);
+        } else {
+          std::vector<Msg> got;
+          ctx.for_each_message([&](Msg m) { got.push_back(m); });
+          if (s == 0 ? !got.empty() : got != std::vector<Msg>{s - 1})
+            ok = false;
+        }
+        return Vote::kContinue;
+      });
+  EXPECT_TRUE(ok.load());
+  EXPECT_EQ(r.supersteps, kSteps);
+}
+
+TEST(DistRuntime, SingleMachineSelfMessagesKeepRunAlive) {
+  int calls = 0;
+  RuntimeConfig cfg;
+  const RunResult r = Runtime<Msg>::run(
+      1, cfg, [&](Runtime<Msg>::Context& ctx, std::size_t s) {
+        ++calls;
+        if (s < 2) ctx.send(0, s);
+        return Vote::kHalt;
+      });
+  EXPECT_EQ(r.supersteps, 3u);  // 0 sends, 1 delivers+sends, 2 delivers
+  EXPECT_EQ(calls, 3);
+}
+
 TEST(DistRuntime, SelfSendsAreNotNetworkTraffic) {
   RuntimeConfig cfg;
   const RunResult r = Runtime<Msg>::run(

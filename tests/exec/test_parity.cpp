@@ -1,9 +1,9 @@
 // Parity gate for the exec core: for EVERY registered partitioner, the
-// parallel engine paths must agree with the sequential engines — exactly
-// for CC (bit-identical labels and accounting) and SSSP (same fixpoint),
-// to 1e-10 L-inf for PageRank (the pull gather associates sums differently
-// than the sequential push loop). The dist runtime's per-machine parallel
-// compute must agree with the same baselines.
+// engines at several exec workers, and the dist runtime's per-machine
+// parallel compute, must agree with one-worker engine runs on a hash
+// partition — exactly for CC labels and SSSP distances (fixpoints), to
+// 1e-10 L-inf for PageRank (the dist runtime sums each destination's local
+// and remote contributions separately).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -34,10 +34,16 @@ class ExecParity : public ::testing::TestWithParam<std::string> {
         new graph::Graph(graph::Graph::from_edges(graph::erdos_renyi(er)));
     const partition::Partition parts =
         partition::create("hash")->partition(*graph_, kMachines);
-    pr_ = new engine::PageRankResult(engine::pagerank(*graph_, parts));
+    engine::PageRankConfig pr_cfg;
+    pr_cfg.exec.threads = 1;
+    exec::ExecConfig one;
+    one.threads = 1;
+    engine::SsspConfig ss_cfg;
+    ss_cfg.exec.threads = 1;
+    pr_ = new engine::PageRankResult(engine::pagerank(*graph_, parts, pr_cfg));
     cc_ = new engine::ComponentsResult(
-        engine::connected_components(*graph_, parts));
-    sssp_ = new engine::SsspResult(engine::sssp(*graph_, parts, 0));
+        engine::connected_components(*graph_, parts, {}, 200, one));
+    sssp_ = new engine::SsspResult(engine::sssp(*graph_, parts, 0, ss_cfg));
   }
   static void TearDownTestSuite() {
     delete graph_;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
+#include <string>
 
 namespace bpart {
 namespace {
@@ -50,6 +52,36 @@ TEST_F(ThreadCountTest, RereadsEnvironmentEachCall) {
   EXPECT_EQ(thread_count(), 2u);
   setenv("BPART_THREADS", "5", 1);
   EXPECT_EQ(thread_count(), 5u);
+}
+
+class ExecThreadsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const char* env = std::getenv("BPART_EXEC_THREADS");
+    saved_ = env != nullptr ? std::optional<std::string>(env) : std::nullopt;
+  }
+  void TearDown() override {
+    if (saved_) {
+      setenv("BPART_EXEC_THREADS", saved_->c_str(), 1);
+    } else {
+      unsetenv("BPART_EXEC_THREADS");
+    }
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+TEST_F(ExecThreadsTest, DefaultsToOneWorkerAndJunkFallsThrough) {
+  // Every app runs on the exec core, so the knob never resolves to 0.
+  unsetenv("BPART_EXEC_THREADS");
+  EXPECT_EQ(exec_threads(), 1u);
+  for (const char* junk : {"0", "-3", "banana"}) {
+    setenv("BPART_EXEC_THREADS", junk, 1);
+    EXPECT_EQ(exec_threads(), 1u) << junk;
+  }
+  setenv("BPART_EXEC_THREADS", "6", 1);
+  EXPECT_EQ(exec_threads(), 6u);
 }
 
 class GlobalSeedTest : public ::testing::Test {

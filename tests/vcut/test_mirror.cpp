@@ -172,10 +172,12 @@ TEST(MirrorPageRank, ExecPathMatchesSequential) {
   const Graph& g = shared_social();
   const auto ep = Hdrf().partition(g, 8);
   const MirrorGraph mg(g, ep, 17);
-  dist::DistOptions exec_on;
-  exec_on.exec.threads = 4;
-  const auto seq = dist::mirror_pagerank(mg);
-  const auto par = dist::mirror_pagerank(mg, {}, exec_on);
+  dist::DistOptions one_worker;
+  one_worker.exec.threads = 1;
+  dist::DistOptions four_workers;
+  four_workers.exec.threads = 4;
+  const auto seq = dist::mirror_pagerank(mg, {}, one_worker);
+  const auto par = dist::mirror_pagerank(mg, {}, four_workers);
   for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
     ASSERT_EQ(seq.rank[v], par.rank[v]);
 }

@@ -1,8 +1,7 @@
-// The parallel walk engine's determinism contract (DESIGN.md §13): under
-// the exec core, walk outputs are bitwise identical at every thread count
-// and chunk size, the legacy sequential path is bit-identical to the
-// pre-parallel engine, and the counter-based RNG streams unify walker
-// trajectories across the simulated, threaded and dist engines.
+// The parallel walk engine's determinism contract (DESIGN.md §13): walk
+// outputs are bitwise identical at every exec thread count and chunk size,
+// and the counter-based RNG streams unify walker trajectories across the
+// simulated and dist engines and across machine counts.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -14,7 +13,6 @@
 #include "walk/apps.hpp"
 #include "walk/dist_walk.hpp"
 #include "walk/ppr_estimate.hpp"
-#include "walk/threaded_walk.hpp"
 #include "util/rng.hpp"
 #include "walk/walk_engine.hpp"
 #include "walk/weighted_walk.hpp"
@@ -121,50 +119,15 @@ TEST_F(ParallelWalk, EnvRoutesToExecPath) {
   expect_identical(via_env, explicit_cfg, 2);
 }
 
-TEST_F(ParallelWalk, LegacySequentialPathConsumesOneSharedStream) {
-  // Replay the pre-parallel engine by hand: one Xoshiro256(seed) stream
-  // consumed in walker order, one bounded(degree) draw per step attempt.
-  // Guards the bit-identity promise of the unset-exec default. (Under
-  // $BPART_EXEC_THREADS the default cfg routes to the exec path, where the
-  // shared stream is intentionally not used.)
-  if (std::getenv("BPART_EXEC_THREADS") != nullptr)
-    GTEST_SKIP() << "BPART_EXEC_THREADS routes the default away from legacy";
-
-  constexpr unsigned kLength = 4;
-  WalkConfig cfg;
-  cfg.seed = 99;
-  const auto got = run_walks(*graph_, partition::ChunkV().partition(*graph_, 1),
-                             SimpleRandomWalk(kLength), cfg);
-
-  const graph::Graph& g = *graph_;
-  std::vector<std::uint64_t> visits(g.num_vertices(), 0);
-  std::uint64_t steps = 0;
-  Xoshiro256 rng(cfg.seed);
-  // k = 1: every walker runs to completion inside iteration one, in walker
-  // (= vertex) order, exactly length draws each (no dead ends here).
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    graph::VertexId at = v;
-    ++visits[at];
-    for (unsigned s = 0; s < kLength; ++s) {
-      at = g.out_neighbor(at, rng.bounded(g.out_degree(at)));
-      ++visits[at];
-      ++steps;
-    }
-  }
-  EXPECT_EQ(got.total_steps, steps);
-  EXPECT_EQ(got.visits, visits);
-}
-
-TEST_F(ParallelWalk, KeyedStreamsUnifyAllThreeEngines) {
-  // The same (seed, walker, step) keys drive the exec-core simulated
-  // engine, the threaded engine and the dist engine: identical step AND
-  // message-walk totals, not just statistics.
-  ThreadedWalkConfig tcfg;
-  tcfg.length = 8;
-  tcfg.walks_per_vertex = 2;
-  tcfg.seed = 21;
-  const auto threaded = run_simple_walks_threaded(*graph_, *parts_, tcfg);
-  const auto dist = run_simple_walks_dist(*graph_, *parts_, tcfg);
+TEST_F(ParallelWalk, KeyedStreamsUnifySimulatedAndDistEngines) {
+  // The same (seed, walker, step) keys drive the simulated engine and the
+  // dist engine: identical step AND message-walk totals, not just
+  // statistics.
+  ThreadedWalkConfig dcfg;
+  dcfg.length = 8;
+  dcfg.walks_per_vertex = 2;
+  dcfg.seed = 21;
+  const auto dist = run_simple_walks_dist(*graph_, *parts_, dcfg);
 
   WalkConfig cfg;
   cfg.walks_per_vertex = 2;
@@ -172,23 +135,22 @@ TEST_F(ParallelWalk, KeyedStreamsUnifyAllThreeEngines) {
   cfg.exec.threads = 2;
   const auto sim = run_walks(*graph_, *parts_, SimpleRandomWalk(8), cfg);
 
-  EXPECT_EQ(sim.total_steps, threaded.total_steps);
-  EXPECT_EQ(sim.message_walks, threaded.message_walks);
   EXPECT_EQ(sim.total_steps, dist.total_steps);
   EXPECT_EQ(sim.message_walks, dist.message_walks);
 }
 
-TEST_F(ParallelWalk, ThreadedStepsIndependentOfMachineCount) {
-  // Seed-routing regression: the old per-machine jump streams made walker
-  // trajectories depend on which machine hosted them, so step totals moved
-  // with the partition count. Counter streams make the trajectory a pure
-  // function of (seed, walker, step): only the crossing counts may differ.
+TEST_F(ParallelWalk, DistStepsIndependentOfMachineCount) {
+  // Seed-routing regression: per-machine RNG streams would make walker
+  // trajectories depend on which machine hosted them, so step totals would
+  // move with the partition count. Counter streams make the trajectory a
+  // pure function of (seed, walker, step): only the crossing counts may
+  // differ.
   ThreadedWalkConfig cfg;
   cfg.length = 8;
   cfg.seed = 13;
   std::uint64_t base_steps = 0;
   for (const unsigned k : {1u, 2u, 5u}) {
-    const auto r = run_simple_walks_threaded(
+    const auto r = run_simple_walks_dist(
         *graph_, partition::ChunkV().partition(*graph_, k), cfg);
     if (k == 1) {
       base_steps = r.total_steps;
@@ -232,6 +194,7 @@ TEST(StepRngBatch, WithFirstDrawReplaysTheKeyedStream) {
 
 TEST_F(ParallelWalk, WeightedWalkParallelTablesMatchSequential) {
   WeightedWalkConfig seq_cfg;
+  seq_cfg.exec.threads = 1;
   const WeightedRandomWalk seq_app(*graph_, seq_cfg);
   WeightedWalkConfig par_cfg;
   par_cfg.exec.threads = 3;

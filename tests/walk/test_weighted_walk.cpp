@@ -63,13 +63,12 @@ TEST(WeightedWalk, EmpiricalFrequenciesFollowWeights) {
   const WeightedRandomWalk app(g, {.length = 1});
   const double p1 = app.transition_probability(0, 0);
 
-  Xoshiro256 shared(3);
-  StepRng rng(shared);
   int first = 0;
   constexpr int kN = 100000;
   WalkerState state;
   state.current = 0;
   for (int i = 0; i < kN; ++i) {
+    StepRng rng(3, i, 0);
     const StepDecision d = app.step(state, g, rng);
     if (d.next == 1) ++first;
   }
@@ -105,8 +104,7 @@ TEST(WeightedWalk, GuardsAgainstWrongGraph) {
   const WeightedRandomWalk app(small, {});
   WalkerState state;
   state.current = 100;  // beyond `small`'s tables
-  Xoshiro256 shared(1);
-  StepRng rng(shared);
+  StepRng rng(1, 0, 0);
   EXPECT_THROW((void)app.step(state, big, rng), CheckError);
 }
 
