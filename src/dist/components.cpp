@@ -51,7 +51,7 @@ engine::ComponentsResult connected_components(const graph::Graph& g,
   const graph::VertexId n = g.num_vertices();
   const MachineId machines = parts.num_parts();
 
-  const DistGraph dg(g, parts);
+  const DistGraph dg(g, parts, opts.threads);
   const unsigned exec_threads = opts.exec.resolved_threads();
   const std::uint32_t chunk_edges = opts.exec.resolved_chunk_edges();
   std::vector<CcMachine> state(machines);

@@ -2,12 +2,16 @@
 
 #include <algorithm>
 
+#include "dist/runtime.hpp"
 #include "util/check.hpp"
 
 namespace bpart::dist {
 
-DistGraph::DistGraph(const graph::Graph& g, const partition::Partition& parts)
-    : g_(&g), subs_(partition::build_subgraphs(g, parts)) {
+DistGraph::DistGraph(const graph::Graph& g, const partition::Partition& parts,
+                     unsigned threads)
+    : g_(&g),
+      subs_(partition::build_subgraphs(
+          g, parts, resolve_threads(threads, parts.num_parts()))) {
   const graph::VertexId n = g.num_vertices();
   const MachineId machines = num_machines();
 

@@ -23,7 +23,10 @@ using cluster::MachineId;
 
 class DistGraph {
  public:
-  DistGraph(const graph::Graph& g, const partition::Partition& parts);
+  /// Builds the subgraphs on the worker count a Runtime run with the same
+  /// `threads` uses (resolve_threads); the result does not depend on it.
+  DistGraph(const graph::Graph& g, const partition::Partition& parts,
+            unsigned threads = 0);
 
   static constexpr graph::VertexId kNoGhost = static_cast<graph::VertexId>(-1);
 

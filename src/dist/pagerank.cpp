@@ -59,7 +59,7 @@ engine::PageRankResult pagerank(const graph::Graph& g,
   const MachineId machines = parts.num_parts();
   const double inv_n = n > 0 ? 1.0 / static_cast<double>(n) : 0.0;
 
-  const DistGraph dg(g, parts);
+  const DistGraph dg(g, parts, opts.threads);
   std::vector<PrMachine> state(machines);
 
   const unsigned exec_threads = opts.exec.resolved_threads();

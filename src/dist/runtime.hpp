@@ -18,6 +18,7 @@
 // termination: all machines voted halt and no message is in flight.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <cstdint>
@@ -58,6 +59,15 @@ enum class FrontierMode : std::uint8_t { kSparse, kDense };
     std::uint64_t active_edges, std::uint64_t total_edges) {
   return active_edges * 20 > total_edges ? FrontierMode::kDense
                                          : FrontierMode::kSparse;
+}
+
+/// OS worker threads for `machines` machines: `threads` capped at the
+/// machine count, or util::thread_count(machines) when 0. Runtime::run and
+/// the DistGraph loader both size themselves by it.
+[[nodiscard]] inline unsigned resolve_threads(unsigned threads,
+                                              MachineId machines) {
+  return threads != 0 ? std::min<unsigned>(threads, machines)
+                      : thread_count(machines);
 }
 
 struct RuntimeConfig {
@@ -132,9 +142,7 @@ class Runtime {
   static RunResult run(MachineId machines, const RuntimeConfig& cfg,
                        Step&& step) {
     BPART_CHECK(machines >= 1);
-    const unsigned workers = cfg.threads != 0
-                                 ? std::min<unsigned>(cfg.threads, machines)
-                                 : thread_count(machines);
+    const unsigned workers = resolve_threads(cfg.threads, machines);
     const MachineId per = machines / workers;
     const MachineId extra = machines % workers;
     auto range_begin = [per, extra](unsigned t) {

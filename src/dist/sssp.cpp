@@ -43,7 +43,7 @@ engine::SsspResult sssp(const graph::Graph& g,
   const MachineId machines = parts.num_parts();
   constexpr std::uint64_t kInf = engine::SsspResult::kUnreachable;
 
-  const DistGraph dg(g, parts);
+  const DistGraph dg(g, parts, opts.threads);
   std::vector<SsspMachine> state(machines);
   for (MachineId m = 0; m < machines; ++m) {
     const partition::Subgraph& sub = dg.subgraph(m);

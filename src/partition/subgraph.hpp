@@ -21,6 +21,11 @@ struct Subgraph {
   /// Local ids 0..num_local-1 are owned vertices (in ascending global id
   /// order); ids num_local..num_local+num_ghosts-1 are ghosts (remote
   /// endpoints of cut edges), also ascending by global id.
+  ///
+  /// Out-run layout: an owned vertex's run holds its owned targets, then
+  /// its ghost targets, each ascending by global id. Since both id ranges
+  /// are numbered in global order, the run is sorted by local id, like
+  /// every CSR run. The in-CSR is its transpose (sources ascending).
   graph::Graph local;                     ///< CSR over local ids.
   std::vector<graph::VertexId> global_id; ///< local id -> global id.
   graph::VertexId num_local = 0;
@@ -38,12 +43,17 @@ struct Subgraph {
 /// Build every machine's subgraph from a full assignment. Each owned
 /// vertex's complete out-adjacency is materialized (targets renumbered,
 /// remote targets becoming ghosts); ghost vertices carry no out-edges
-/// locally, exactly like Gemini's mirrors.
+/// locally, exactly like Gemini's mirrors. Each part's CSR is renumbered
+/// straight from g's; the parts are built on up to `workers` threads, and
+/// the result does not depend on the count.
 std::vector<Subgraph> build_subgraphs(const graph::Graph& g,
-                                      const Partition& p);
+                                      const Partition& p,
+                                      unsigned workers = 1);
 
-/// Consistency check used by tests and loaders: every global edge appears
-/// exactly once across subgraphs, ghost tables are sound, and per-part cut
+/// Consistency check used by tests and loaders: owned and ghost ids are
+/// each strictly ascending, ghost tables are sound, every owned vertex's
+/// local out-run is its global out-run renumbered (same multiset, sorted by
+/// local id), the local in-CSR is the out-CSR's transpose, and per-part cut
 /// totals match partition::edge_cut_count.
 bool verify_subgraphs(const graph::Graph& g, const Partition& p,
                       const std::vector<Subgraph>& subs);

@@ -1,6 +1,8 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <mutex>
 #include <thread>
 
 #ifdef __linux__
@@ -79,6 +81,19 @@ void parallel_for(std::uint64_t begin, std::uint64_t end, unsigned workers,
     return;
   }
   const unsigned chunks = std::min<std::uint64_t>(workers, n);
+  // A throw escaping a std::thread entry calls std::terminate, so each
+  // chunk catches its own; the first one is rethrown after every chunk
+  // has been joined.
+  std::exception_ptr error;
+  std::mutex error_mutex;
+  auto run = [&](std::uint64_t lo, std::uint64_t hi) {
+    try {
+      fn(lo, hi);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (!error) error = std::current_exception();
+    }
+  };
   std::vector<std::thread> threads;
   threads.reserve(chunks);
   const std::uint64_t step = n / chunks;
@@ -86,10 +101,11 @@ void parallel_for(std::uint64_t begin, std::uint64_t end, unsigned workers,
   std::uint64_t lo = begin;
   for (unsigned i = 0; i < chunks; ++i) {
     const std::uint64_t hi = lo + step + (i < rem ? 1 : 0);
-    threads.emplace_back([&fn, lo, hi] { fn(lo, hi); });
+    threads.emplace_back(run, lo, hi);
     lo = hi;
   }
   for (auto& t : threads) t.join();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace bpart

@@ -68,7 +68,9 @@ class ThreadPool {
 
 /// Split [begin, end) into roughly equal chunks and run `fn(lo, hi)` on each,
 /// using the calling thread when workers == 1 (no pool allocation).
-/// `fn` must be safe to call concurrently on disjoint ranges.
+/// `fn` must be safe to call concurrently on disjoint ranges. If a chunk
+/// throws, the other chunks still run to completion and the first exception
+/// is rethrown to the caller.
 void parallel_for(std::uint64_t begin, std::uint64_t end, unsigned workers,
                   const std::function<void(std::uint64_t, std::uint64_t)>& fn);
 

@@ -29,6 +29,7 @@ struct Outgoing {
 
 struct WalkMachine {
   std::vector<Walker> queue;  // walkers currently on this machine (local ids)
+  std::vector<graph::EdgeId> rank;  // global_rank_table of the subgraph
   std::uint64_t total_steps = 0;
   std::uint64_t message_walks = 0;
   // Per-machine executor plus per-chunk outgoing buffers and step tallies,
@@ -42,19 +43,24 @@ struct WalkMachine {
 /// slot. The subgraph CSR sorts each adjacency run by *local* id, which
 /// pushes every ghost neighbor behind the owned ones; the counter-stream
 /// contract needs draw index k to mean "k-th neighbor in global-id order",
-/// exactly as the single-machine engines index the global CSR. One rank
-/// entry per local edge restores that order.
+/// exactly as the single-machine engines index the global CSR. Each run is
+/// an owned half and a ghost half, both ascending by global id (local ids
+/// of either kind are numbered in global order), so one linear merge per
+/// run restores that order.
 std::vector<graph::EdgeId> global_rank_table(const partition::Subgraph& sub) {
   std::vector<graph::EdgeId> rank(sub.local.num_edges());
-  std::vector<std::pair<graph::VertexId, graph::EdgeId>> run;
   for (graph::VertexId lid = 0; lid < sub.num_local; ++lid) {
-    const graph::EdgeId degree = sub.local.out_degree(lid);
-    run.clear();
-    for (graph::EdgeId k = 0; k < degree; ++k)
-      run.emplace_back(sub.global_id[sub.local.out_neighbor(lid, k)], k);
-    std::sort(run.begin(), run.end());
-    const graph::EdgeId base = sub.local.out_offsets()[lid];
-    for (graph::EdgeId k = 0; k < degree; ++k) rank[base + k] = run[k].second;
+    const auto run = sub.local.out_neighbors(lid);
+    const graph::EdgeId degree = run.size();
+    const auto split = static_cast<graph::EdgeId>(
+        std::lower_bound(run.begin(), run.end(), sub.num_local) - run.begin());
+    graph::EdgeId* out = rank.data() + sub.local.out_offsets()[lid];
+    graph::EdgeId a = 0;
+    graph::EdgeId b = split;
+    while (a < split && b < degree)
+      *out++ = sub.global_id[run[a]] < sub.global_id[run[b]] ? a++ : b++;
+    while (a < split) *out++ = a++;
+    while (b < degree) *out++ = b++;
   }
   return rank;
 }
@@ -101,24 +107,32 @@ DistWalkReport run_simple_walks_dist(const graph::Graph& g,
   const cluster::MachineId machines = parts.num_parts();
 
   const dist::DistGraph dg(g, parts);
-  std::vector<std::vector<graph::EdgeId>> rank(machines);
-  for (cluster::MachineId m = 0; m < machines; ++m)
-    rank[m] = global_rank_table(dg.subgraph(m));
   std::vector<WalkMachine> state(machines);
-  for (unsigned r = 0; r < cfg.walks_per_vertex; ++r)
-    for (graph::VertexId v = 0; v < n; ++v)
-      state[parts[v]].queue.push_back(
-          Walker{static_cast<std::uint64_t>(r) * n + v, 0, dg.owner_local(v)});
+  const unsigned exec_threads = cfg.exec.resolved_threads();
+  // Rank table, initial walkers and executor are built on the worker thread
+  // that drives the machine. Walkers queue by round, then owned local id —
+  // the order of a global scan over (round, vertex).
+  auto init_machine = [&](cluster::MachineId m) {
+    const partition::Subgraph& sub = dg.subgraph(m);
+    WalkMachine& me = state[m];
+    me.rank = global_rank_table(sub);
+    me.queue.reserve(static_cast<std::size_t>(cfg.walks_per_vertex) *
+                     sub.num_local);
+    for (unsigned r = 0; r < cfg.walks_per_vertex; ++r)
+      for (graph::VertexId lid = 0; lid < sub.num_local; ++lid)
+        me.queue.push_back(Walker{
+            static_cast<std::uint64_t>(r) * n + sub.global_id[lid], 0, lid});
+    me.ex = std::make_unique<exec::Executor>(exec_threads);
+  };
 
   // Walker batches are weight-free (see run_walks): 1/16th of the
   // edge-chunk target, >= 1.
   const std::uint32_t batch =
       std::max<std::uint32_t>(1, cfg.exec.resolved_chunk_edges() / 16);
-  for (WalkMachine& m : state)
-    m.ex = std::make_unique<exec::Executor>(cfg.exec.resolved_threads());
 
   dist::RuntimeConfig rcfg;
   rcfg.max_supersteps = cfg.max_supersteps;
+  rcfg.init_machine = init_machine;
   dist::RunResult run = dist::Runtime<Walker>::run(
       machines, rcfg, [&](dist::Runtime<Walker>::Context& ctx, std::size_t) {
         WalkMachine& me = state[ctx.self()];
@@ -143,7 +157,7 @@ DistWalkReport run_simple_walks_dist(const graph::Graph& g,
           std::uint64_t local_steps = 0;
           for (std::uint32_t i = lo; i < hi; ++i)
             local_steps += advance_walker(
-                me.queue[i], sub, rank[ctx.self()], cfg, num_local,
+                me.queue[i], sub, me.rank, cfg, num_local,
                 [&](cluster::MachineId dst, Walker shipped) {
                   out.push_back(Outgoing{dst, shipped});
                 });

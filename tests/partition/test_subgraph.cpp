@@ -70,6 +70,47 @@ TEST(Subgraph, VerifyRejectsTampering) {
   EXPECT_FALSE(verify_subgraphs(g, p, subs));
 }
 
+TEST(Subgraph, VerifyRejectsScrambledTargets) {
+  const Graph g = square();
+  const Partition p = adjacent_split(g);
+  const auto subs = build_subgraphs(g, p);
+  const Graph& local = subs[0].local;
+  // Rebuilds part 0's CSR with the given targets and the built offsets, so
+  // every degree stays as built and only an adjacency-content check can
+  // tell.
+  auto rebuilt = [&](std::vector<graph::VertexId> out,
+                     std::vector<graph::VertexId> in) {
+    auto tampered = subs;
+    tampered[0].local = Graph::from_csr(
+        {local.out_offsets().begin(), local.out_offsets().end()},
+        std::move(out), {local.in_offsets().begin(), local.in_offsets().end()},
+        std::move(in));
+    return tampered;
+  };
+  const std::vector<graph::VertexId> out(local.out_targets().begin(),
+                                         local.out_targets().end());
+  const std::vector<graph::VertexId> in(local.in_targets().begin(),
+                                        local.in_targets().end());
+  // Local vertex 0 (global 0) points at {local 1, ghost 3}.
+  ASSERT_EQ(local.out_neighbor(0, 0), 1u);
+  ASSERT_EQ(local.out_neighbor(0, 1), 3u);
+
+  // One target replaced: global edge 0->1 becomes a self-loop.
+  auto replaced = out;
+  replaced[0] = 0;
+  EXPECT_FALSE(verify_subgraphs(g, p, rebuilt(replaced, in)));
+  // Right targets, wrong order: the run is no longer sorted by local id.
+  auto swapped = out;
+  std::swap(swapped[0], swapped[1]);
+  EXPECT_FALSE(verify_subgraphs(g, p, rebuilt(swapped, in)));
+  // Out-CSR intact, in-CSR not its transpose.
+  auto not_transpose = in;
+  std::swap(not_transpose.front(), not_transpose.back());
+  EXPECT_FALSE(verify_subgraphs(g, p, rebuilt(out, not_transpose)));
+  // The unedited arrays still verify.
+  EXPECT_TRUE(verify_subgraphs(g, p, rebuilt(out, in)));
+}
+
 TEST(Subgraph, EveryPaperAlgorithmProducesVerifiableSubgraphs) {
   const Graph g = testing::social_graph();
   for (const auto& algo : paper_algorithms()) {

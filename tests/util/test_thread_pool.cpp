@@ -104,5 +104,18 @@ TEST(ParallelFor, ChunksArePartition) {
   EXPECT_EQ(expect, 110u);
 }
 
+TEST(ParallelFor, PropagatesWorkerException) {
+  // The throwing chunk must not terminate the process: every other chunk
+  // still runs to completion, then the caller sees the exception.
+  std::atomic<int> finished{0};
+  EXPECT_THROW(parallel_for(0, 8, 4,
+                            [&](std::uint64_t lo, std::uint64_t) {
+                              if (lo == 0) throw std::runtime_error("boom");
+                              ++finished;
+                            }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 3);
+}
+
 }  // namespace
 }  // namespace bpart
