@@ -7,8 +7,10 @@
 namespace bpart::graph {
 
 void EdgeList::add(VertexId src, VertexId dst) {
-  edges_.push_back(Edge{src, dst});
   const VertexId hi = std::max(src, dst);
+  // num_vertices_ = hi + 1 must not wrap to 0.
+  BPART_CHECK_MSG(hi != kInvalidVertex, "vertex id " << hi << " is reserved");
+  edges_.push_back(Edge{src, dst});
   if (hi >= num_vertices_) num_vertices_ = hi + 1;
 }
 
@@ -28,6 +30,8 @@ void EdgeList::append(std::span<const Edge> batch, VertexId max_vertex) {
   for (const Edge& e : batch) batch_max = std::max({batch_max, e.src, e.dst});
   BPART_DCHECK(batch_max <= max_vertex);
   if (batch_max > max_vertex) max_vertex = batch_max;
+  BPART_CHECK_MSG(max_vertex != kInvalidVertex,
+                  "vertex id " << max_vertex << " is reserved");
   edges_.insert(edges_.end(), batch.begin(), batch.end());
   if (max_vertex >= num_vertices_) num_vertices_ = max_vertex + 1;
 }

@@ -21,6 +21,7 @@ class EdgeList {
   void reserve(std::size_t edges) { edges_.reserve(edges); }
 
   /// Appends a directed edge, growing the vertex count to cover both ends.
+  /// Neither end may be kInvalidVertex (the count would wrap to 0).
   void add(VertexId src, VertexId dst);
 
   /// Appends both (src,dst) and (dst,src).
@@ -32,6 +33,7 @@ class EdgeList {
   /// against the batch: debug builds assert it covers every endpoint,
   /// release builds clamp the vertex count to the real bound so an
   /// undercounting caller can never produce an out-of-range edge list.
+  /// Like add(), rejects kInvalidVertex as an endpoint or bound.
   void append(std::span<const Edge> batch, VertexId max_vertex);
 
   [[nodiscard]] std::size_t size() const { return edges_.size(); }

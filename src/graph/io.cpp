@@ -26,9 +26,11 @@ struct BinaryHeader {
   std::uint64_t num_edges;
 };
 
+/// kInvalidVertex is reserved: as an id it would wrap the vertex count.
 bool parse_vertex(std::string_view tok, VertexId& out) {
   const auto res = std::from_chars(tok.data(), tok.data() + tok.size(), out);
-  return res.ec == std::errc{} && res.ptr == tok.data() + tok.size();
+  return res.ec == std::errc{} && res.ptr == tok.data() + tok.size() &&
+         out != kInvalidVertex;
 }
 
 }  // namespace

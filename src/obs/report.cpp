@@ -127,7 +127,6 @@ void write_pipeline_report(json::Writer& w, const pipeline::PipelineReport& r) {
       .kv("seconds", r.ingest.seconds)
       .kv("bytes", static_cast<std::uint64_t>(r.ingest.bytes))
       .kv("edges", static_cast<std::uint64_t>(r.ingest.edges))
-      .kv("batches", static_cast<std::uint64_t>(r.ingest.batches))
       .kv("threads", r.ingest.threads)
       .kv("shards", r.ingest.shards)
       .end_object();

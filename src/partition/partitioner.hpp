@@ -65,11 +65,6 @@ struct StreamConfig {
   /// streams from collapsing into one part; 0 disables the cap.
   double capacity_slack = 1.2;
 
-  /// Score with in-neighbors as well as out-neighbors. On the symmetric
-  /// social graphs of the paper this is a no-op; on directed graphs it
-  /// substantially lowers cuts.
-  bool use_in_neighbors = true;
-
   /// Buffered-streaming batch size (Chhabra et al. style). 0 defers to the
   /// $BPART_STREAM_BATCH environment knob, whose own default of 0 selects
   /// the classic one-vertex-at-a-time sequential pass. Any value > 0
@@ -102,16 +97,14 @@ struct StreamConfig {
   /// against fully exact state).
   unsigned refine_passes = kRefineAuto;
 
-  /// Per-pass multiplier on α during refinement; values > 1 tighten balance
-  /// pressure as restreaming proceeds (the "prioritized" schedule).
-  double refine_alpha_boost = 1.0;
-
   /// Optional reusable scratch (see StreamScratch). May be nullptr.
   StreamScratch* scratch = nullptr;
 };
 
 /// Stream `vertices` (in the given order) into k fresh parts, greedily
 /// maximizing S(v, G_i) = |V_i ∩ N(v)| − α·γ·W_i^(γ−1) (paper Eq. 2).
+/// N(v) holds out- and in-neighbors alike: the same set on the paper's
+/// symmetric graphs, and much lower cuts than out-neighbors on directed ones.
 ///
 /// Only vertices in `vertices` participate: neighbor overlap counts other
 /// subset members already assigned, and balance totals are subset-local.

@@ -13,11 +13,10 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <future>
 #include <limits>
-#include <optional>
 #include <vector>
 
+#include "exec/scheduler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "partition/partitioner.hpp"
@@ -28,6 +27,9 @@
 namespace bpart::partition {
 
 namespace {
+
+/// Vertices per scoring chunk of the batched passes.
+constexpr std::uint32_t kScoreChunk = 256;
 
 /// Per-part running state of the streaming pass.
 struct PartState {
@@ -71,7 +73,7 @@ struct Calibration {
 /// buffered pass streams its first batch exactly and buffers the rest.
 void sequential_stream(const graph::Graph& g,
                        std::span<const graph::VertexId> verts, PartId k,
-                       const StreamConfig& cfg, const Calibration& cal,
+                       const Calibration& cal,
                        const std::vector<bool>& in_subset, Partition& p,
                        std::vector<PartState>& state) {
   // Scatter buffer: overlap[i] = |V_i ∩ N(v)| for the current vertex; only
@@ -89,8 +91,7 @@ void sequential_stream(const graph::Graph& g,
       if (overlap[pu]++ == 0) touched.push_back(pu);
     };
     for (graph::VertexId u : g.out_neighbors(v)) count_neighbor(u);
-    if (cfg.use_in_neighbors)
-      for (graph::VertexId u : g.in_neighbors(v)) count_neighbor(u);
+    for (graph::VertexId u : g.in_neighbors(v)) count_neighbor(u);
 
     // Score every part. The penalty derivative α·γ·W^(γ−1) is monotone in
     // W, so among parts with equal overlap the least-loaded wins.
@@ -125,30 +126,6 @@ void sequential_stream(const graph::Graph& g,
   }
 }
 
-/// Run fn(lo, hi, slice_id) over [0, n) in contiguous slices: one slice per
-/// pool worker when a pool is given, inline as a single slice otherwise.
-/// slice_id < pool->size() always, so it can index per-worker shards.
-template <typename Fn>
-void run_slices(ThreadPool* pool, std::size_t n, Fn&& fn) {
-  if (pool == nullptr) {
-    fn(std::size_t{0}, n, 0u);
-    return;
-  }
-  const auto slices =
-      static_cast<unsigned>(std::min<std::size_t>(pool->size(), n));
-  std::vector<std::future<void>> done;
-  done.reserve(slices);
-  const std::size_t step = n / slices;
-  const std::size_t rem = n % slices;
-  std::size_t lo = 0;
-  for (unsigned s = 0; s < slices; ++s) {
-    const std::size_t hi = lo + step + (s < rem ? 1 : 0);
-    done.push_back(pool->submit([&fn, lo, hi, s] { fn(lo, hi, s); }));
-    lo = hi;
-  }
-  for (std::future<void>& f : done) f.get();
-}
-
 /// Parallel buffered pass over `verts` (DESIGN.md §9). Per batch:
 ///   1. snapshot — freeze per-part weights and penalty terms (O(k));
 ///   2. score   — workers pick each vertex's best part against the frozen
@@ -158,25 +135,23 @@ void run_slices(ThreadPool* pool, std::size_t n, Fn&& fn) {
 ///                prove no part can reach capacity the commit is a bulk
 ///                write, otherwise each vertex re-checks capacity against
 ///                exact state and falls back to the least-loaded part.
-/// The result depends only on (graph, verts, k, cfg) — never on the worker
-/// count — because choices are pure functions of the snapshot and the
-/// committed prefix, and the shard merge is an integer sum.
+/// The result depends only on (graph, verts, k, calibration, batch) — never
+/// on the worker count — because choices are pure functions of the snapshot
+/// and the committed prefix, and the shard merge is an integer sum.
 void buffered_stream(const graph::Graph& g,
                      std::span<const graph::VertexId> verts, PartId k,
-                     const StreamConfig& cfg, const Calibration& cal,
-                     std::uint32_t batch, ThreadPool* pool,
-                     const std::vector<bool>& in_subset, Partition& p,
-                     std::vector<PartState>& state) {
+                     const Calibration& cal, std::uint32_t batch,
+                     exec::Executor& ex, const std::vector<bool>& in_subset,
+                     Partition& p, std::vector<PartState>& state) {
   const std::size_t n = verts.size();
   std::vector<double> snap_weight(k, 0.0);
   std::vector<double> snap_penalty(k, 0.0);
   std::vector<PartState> merged(k);
   std::vector<PartId> choice(batch, kUnassigned);
 
-  const unsigned workers = pool != nullptr ? pool->size() : 1;
   std::vector<std::vector<AtomicPartState>> shards;
-  shards.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) shards.emplace_back(k);
+  shards.reserve(ex.threads());
+  for (unsigned w = 0; w < ex.threads(); ++w) shards.emplace_back(k);
 
   obs::Counter& batch_counter = obs::counter("partition.stream_batches");
   obs::Counter& fallback_counter =
@@ -210,13 +185,13 @@ void buffered_stream(const graph::Graph& g,
 
     // --- 2. score ---------------------------------------------------------
     std::atomic<std::uint32_t> capped{0};
-    auto score_slice = [&](std::size_t lo, std::size_t hi,
-                           unsigned shard_id) {
-      std::vector<AtomicPartState>& acc = shards[shard_id];
+    auto score_chunk = [&](unsigned w, std::uint32_t, std::uint32_t lo,
+                           std::uint32_t hi) {
+      std::vector<AtomicPartState>& acc = shards[w];
       std::vector<std::uint32_t> overlap(k, 0);
       std::vector<PartId> touched;
       touched.reserve(64);
-      for (std::size_t idx = lo; idx < hi; ++idx) {
+      for (std::uint32_t idx = lo; idx < hi; ++idx) {
         const graph::VertexId v = verts[base + idx];
         auto count_neighbor = [&](graph::VertexId u) {
           if (!in_subset[u]) return;
@@ -225,11 +200,10 @@ void buffered_stream(const graph::Graph& g,
           if (overlap[pu]++ == 0) touched.push_back(pu);
         };
         for (graph::VertexId u : g.out_neighbors(v)) count_neighbor(u);
-        if (cfg.use_in_neighbors)
-          for (graph::VertexId u : g.in_neighbors(v)) count_neighbor(u);
+        for (graph::VertexId u : g.in_neighbors(v)) count_neighbor(u);
 
         // Ties break toward the lower part id regardless of the order
-        // neighbors were seen in, so slicing cannot change the choice.
+        // neighbors were seen in, so chunking cannot change the choice.
         PartId best = least_open;
         double best_score = zero_overlap_score;
         for (PartId t : touched) {
@@ -257,7 +231,7 @@ void buffered_stream(const graph::Graph& g,
       }
     };
 
-    run_slices(pool, bn, score_slice);
+    ex.run(exec::ChunkScheduler::over_items(bn, kScoreChunk), score_chunk);
 
     // --- 3. merge ---------------------------------------------------------
     bool needs_exact_commit = capped.load(std::memory_order_relaxed) != 0;
@@ -315,9 +289,8 @@ void buffered_stream(const graph::Graph& g,
 /// against a frozen snapshot (with the vertex's own contribution removed
 /// when scoring its current part), and commit moves in order with an
 /// exact-state capacity check. High-degree vertices move first so the long
-/// tail re-scores against near-final hub placements. Each pass multiplies α
-/// by `refine_alpha_boost`, tightening balance pressure as the restream
-/// proceeds; a pass that moves nothing ends the refinement early.
+/// tail re-scores against near-final hub placements. A pass that moves
+/// nothing ends the refinement early.
 ///
 /// batch=1 degenerates to the classic exact restream (the snapshot is the
 /// exact state for every vertex); larger batches trade a little staleness
@@ -326,8 +299,8 @@ void buffered_stream(const graph::Graph& g,
 /// oscillating between equal-score parts.
 void restream_refine(const graph::Graph& g,
                      std::span<const graph::VertexId> verts, PartId k,
-                     const StreamConfig& cfg, const Calibration& cal,
-                     unsigned passes, std::uint32_t batch, ThreadPool* pool,
+                     const Calibration& cal, unsigned passes,
+                     std::uint32_t batch, exec::Executor& ex,
                      const std::vector<bool>& in_subset, Partition& p,
                      std::vector<PartState>& state) {
   std::vector<graph::VertexId> order(verts.begin(), verts.end());
@@ -344,9 +317,7 @@ void restream_refine(const graph::Graph& g,
   std::vector<PartId> choice(batch, kUnassigned);
   obs::Counter& moves_counter = obs::counter("partition.stream_refine_moves");
 
-  double alpha = cal.alpha;
   for (unsigned pass = 0; pass < passes; ++pass) {
-    alpha *= cfg.refine_alpha_boost;
     BPART_SPAN("partition/stream_refine", "pass",
                static_cast<double>(pass + 1), "vertices",
                static_cast<double>(n));
@@ -360,7 +331,7 @@ void restream_refine(const graph::Graph& g,
       for (PartId i = 0; i < k; ++i) {
         const double w = cal.weight(state[i]);
         snap_weight[i] = w;
-        snap_penalty[i] = cal.penalty(w, alpha);
+        snap_penalty[i] = cal.penalty(w, cal.alpha);
         if (w < cal.capacity && w < least_open_weight) {
           least_open_weight = w;
           least_open = i;
@@ -368,11 +339,12 @@ void restream_refine(const graph::Graph& g,
       }
 
       // --- score: pick each vertex's destination against the snapshot -----
-      auto score_slice = [&](std::size_t lo, std::size_t hi, unsigned) {
+      auto score_chunk = [&](unsigned, std::uint32_t, std::uint32_t lo,
+                             std::uint32_t hi) {
         std::vector<std::uint32_t> overlap(k, 0);
         std::vector<PartId> touched;
         touched.reserve(64);
-        for (std::size_t idx = lo; idx < hi; ++idx) {
+        for (std::uint32_t idx = lo; idx < hi; ++idx) {
           const graph::VertexId v = order[base + idx];
           const PartId old_part = p[v];
           auto count_neighbor = [&](graph::VertexId u) {
@@ -382,8 +354,7 @@ void restream_refine(const graph::Graph& g,
             if (overlap[pu]++ == 0) touched.push_back(pu);
           };
           for (graph::VertexId u : g.out_neighbors(v)) count_neighbor(u);
-          if (cfg.use_in_neighbors)
-            for (graph::VertexId u : g.in_neighbors(v)) count_neighbor(u);
+          for (graph::VertexId u : g.in_neighbors(v)) count_neighbor(u);
 
           // Staying put is the baseline: score the current part with v's own
           // Eq. 1 contribution removed (it is part of the snapshot weight),
@@ -398,7 +369,7 @@ void restream_refine(const graph::Graph& g,
           const double old_w = std::max(snap_weight[old_part] - contrib, 0.0);
           PartId best = old_part;
           double best_score = static_cast<double>(overlap[old_part]) -
-                              cal.penalty(old_w, alpha);
+                              cal.penalty(old_w, cal.alpha);
           if (least_open != kUnassigned && least_open != old_part) {
             const double score = static_cast<double>(overlap[least_open]) -
                                  snap_penalty[least_open];
@@ -423,7 +394,7 @@ void restream_refine(const graph::Graph& g,
           choice[idx] = best;
         }
       };
-      run_slices(pool, bn, score_slice);
+      ex.run(exec::ChunkScheduler::over_items(bn, kScoreChunk), score_chunk);
 
       // --- commit moves in order against exact state -----------------------
       for (std::size_t idx = 0; idx < bn; ++idx) {
@@ -520,20 +491,17 @@ Partition greedy_stream_partition(const graph::Graph& g,
   // late combining layers and small bisection pieces stay bit-identical).
   const bool buffered = batch != 0 && vertices.size() > batch;
   const unsigned workers = cfg.threads != 0 ? cfg.threads : thread_count();
-  std::optional<ThreadPool> pool;
-  if (buffered && workers > 1) pool.emplace(workers);
-  ThreadPool* pool_ptr = pool ? &*pool : nullptr;
+  exec::Executor ex(buffered ? workers : 1);
 
   if (!buffered) {
-    sequential_stream(g, vertices, k, cfg, cal, in_subset, p, state);
+    sequential_stream(g, vertices, k, cal, in_subset, p, state);
   } else {
     // Warm-up: stream the first batch exactly. Scoring it against the
     // initial all-empty snapshot would give every vertex the same zero
     // overlap and the same penalty, collapsing the batch onto one part.
-    sequential_stream(g, vertices.first(batch), k, cfg, cal, in_subset, p,
-                      state);
-    buffered_stream(g, vertices.subspan(batch), k, cfg, cal, batch, pool_ptr,
-                    in_subset, p, state);
+    sequential_stream(g, vertices.first(batch), k, cal, in_subset, p, state);
+    buffered_stream(g, vertices.subspan(batch), k, cal, batch, ex, in_subset,
+                    p, state);
   }
 
   // kRefineAuto ties refinement to buffering: the snapshot scoring trades
@@ -543,8 +511,8 @@ Partition greedy_stream_partition(const graph::Graph& g,
   unsigned refine = cfg.refine_passes;
   if (refine == StreamConfig::kRefineAuto) refine = buffered ? 1 : 0;
   if (refine > 0)
-    restream_refine(g, vertices, k, cfg, cal, refine, buffered ? batch : 1,
-                    pool_ptr, in_subset, p, state);
+    restream_refine(g, vertices, k, cal, refine, buffered ? batch : 1, ex,
+                    in_subset, p, state);
   return p;
 }
 
@@ -630,15 +598,11 @@ RestreamBudgetResult budgeted_restream(
   };
   std::vector<Move> moves(verts.size());
 
-  const unsigned workers = cfg.threads != 0 ? cfg.threads : thread_count();
-  std::optional<ThreadPool> pool;
-  if (workers > 1 && verts.size() > 1024) pool.emplace(workers);
-
-  auto score_slice = [&](std::size_t lo, std::size_t hi, unsigned) {
+  auto score_chunk = [&](std::uint64_t lo, std::uint64_t hi) {
     std::vector<std::uint32_t> overlap(k, 0);
     std::vector<PartId> touched;
     touched.reserve(64);
-    for (std::size_t idx = lo; idx < hi; ++idx) {
+    for (std::uint64_t idx = lo; idx < hi; ++idx) {
       const graph::VertexId v = verts[idx];
       const PartId old_part = p[v];
       auto count_neighbor = [&](graph::VertexId u) {
@@ -648,8 +612,7 @@ RestreamBudgetResult budgeted_restream(
         if (overlap[pu]++ == 0) touched.push_back(pu);
       };
       for (graph::VertexId u : g.out_neighbors(v)) count_neighbor(u);
-      if (cfg.use_in_neighbors)
-        for (graph::VertexId u : g.in_neighbors(v)) count_neighbor(u);
+      for (graph::VertexId u : g.in_neighbors(v)) count_neighbor(u);
 
       // Staying put is the baseline, scored with v's own Eq. 1 contribution
       // removed from the snapshot weight of its current part.
@@ -686,7 +649,9 @@ RestreamBudgetResult budgeted_restream(
                     best == old_part ? kUnassigned : best};
     }
   };
-  run_slices(pool ? &*pool : nullptr, verts.size(), score_slice);
+  const unsigned workers = cfg.threads != 0 ? cfg.threads : thread_count();
+  parallel_for(0, verts.size(), verts.size() > 1024 ? workers : 1,
+               score_chunk);
 
   // --- rank by gain, migrate the top `budget` against exact state ---------
   std::erase_if(moves, [](const Move& m) {

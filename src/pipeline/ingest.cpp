@@ -1,20 +1,16 @@
 #include "pipeline/ingest.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <charconv>
-#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <mutex>
+#include <limits>
 #include <stdexcept>
-#include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "pipeline/bounded_queue.hpp"
-#include "util/check.hpp"
 #include "util/env.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -25,13 +21,17 @@ namespace {
 
 /// Below this size there is nothing to parallelize; one shard handles it.
 constexpr std::uint64_t kMinShardBytes = 64 * 1024;
+/// Shards per parser thread (file size permitting).
+constexpr unsigned kShardsPerThread = 4;
+/// Bytes read from disk at a time by each shard parser.
+constexpr std::size_t kReadChunkBytes = 1 << 20;
 
 enum class LineKind { kEdge, kSkip, kBad };
 
 /// Parse one line (sans '\n'). Semantics mirror graph::load_text_edges:
 /// leading/trailing spaces, tabs and '\r' are trimmed; blank lines and
 /// '#'/'%' comments skip; separators are space/tab/comma; columns after dst
-/// are ignored.
+/// are ignored; the reserved id kInvalidVertex is rejected.
 LineKind parse_line(const char* b, const char* e, graph::Edge& out) {
   while (b < e && (*b == ' ' || *b == '\t' || *b == '\r')) ++b;
   while (e > b && (e[-1] == ' ' || e[-1] == '\t' || e[-1] == '\r')) --e;
@@ -50,213 +50,99 @@ LineKind parse_line(const char* b, const char* e, graph::Edge& out) {
     const char c = *r2.ptr;
     if (c != ' ' && c != '\t' && c != ',' && c != '\r') return LineKind::kBad;
   }
+  if (src == graph::kInvalidVertex || dst == graph::kInvalidVertex)
+    return LineKind::kBad;
   out = {src, dst};
   return LineKind::kEdge;
 }
 
-struct ShardRange {
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;
+/// One byte-range shard's parse result.
+struct Shard {
+  std::vector<graph::Edge> edges;
+  graph::VertexId max_vertex = 0;  ///< Max id referenced (0 if no edges).
+  std::string error;               ///< Set at the shard's first bad line.
 };
 
-struct IngestState {
-  explicit IngestState(std::size_t queue_capacity, std::uint32_t window)
-      : queue(queue_capacity), window(window) {}
-
-  BoundedQueue<EdgeBatch> queue;
-
-  // Shard claiming. The window keeps the deterministic reorder buffer
-  // bounded: a producer may only start shard i once i < floor + window.
-  std::atomic<std::uint32_t> next_shard{0};
-  std::mutex win_mutex;
-  std::condition_variable win_cv;
-  std::uint32_t shard_floor = 0;  // guarded by win_mutex
-  const std::uint32_t window;
-
-  std::atomic<unsigned> active_producers{0};
-
-  // First (lowest byte offset) parse error wins, so the reported failure is
-  // independent of thread scheduling.
-  std::atomic<bool> failed{false};
-  std::mutex err_mutex;
-  std::uint64_t err_offset = 0;  // guarded by err_mutex
-  std::string error;             // guarded by err_mutex
-
-  void report_error(std::uint64_t offset, const std::string& msg) {
-    {
-      std::lock_guard<std::mutex> lock(err_mutex);
-      if (error.empty() || offset < err_offset) {
-        error = msg;
-        err_offset = offset;
-      }
-    }
-    failed.store(true);
-    queue.close();
-    win_cv.notify_all();
-  }
-
-  void advance_floor(std::uint32_t floor) {
-    {
-      std::lock_guard<std::mutex> lock(win_mutex);
-      shard_floor = floor;
-    }
-    win_cv.notify_all();
-  }
-};
-
-/// Parse the lines *beginning* in [begin, end) and push them as batches.
-/// A line that straddles `end` belongs to this shard; a line straddling
-/// `begin` belongs to the previous one — together every byte is owned by
-/// exactly one shard.
-void parse_shard(const std::string& path, std::uint32_t shard,
-                 ShardRange range, const IngestConfig& cfg, IngestState& st) {
-  BPART_SPAN("ingest/parse_shard", "shard", static_cast<double>(shard),
-             "bytes", static_cast<double>(range.end - range.begin));
+/// Parse the lines *beginning* in [begin, end) into `out`. A line that
+/// straddles `end` belongs to this shard; a line straddling `begin` belongs
+/// to the previous one — together every byte is owned by exactly one shard.
+/// Stops at the shard's first malformed line, recording it in out.error.
+void parse_shard(const std::string& path, std::uint64_t begin,
+                 std::uint64_t end, Shard& out) {
+  BPART_SPAN("ingest/parse_shard", "bytes", static_cast<double>(end - begin));
   std::ifstream f(path, std::ios::binary);
   if (!f) {
-    st.report_error(range.begin, "cannot open edge list: " + path);
+    out.error = "cannot open edge list: " + path;
     return;
   }
-  // Read from begin-1 so we can tell whether `begin` starts a line (the
-  // previous byte is '\n') without any cross-shard coordination.
-  const std::uint64_t read_from = range.begin == 0 ? 0 : range.begin - 1;
-  f.seekg(static_cast<std::streamoff>(read_from));
-
-  std::vector<char> buf;
-  std::uint64_t win_off = read_from;  // file offset of buf[0]
-  std::size_t line_begin = 0;         // index in buf of the current line
-  std::size_t pos = 0;                // next byte to scan for '\n'
-  bool eof = false;
-
-  const auto refill = [&] {
-    if (line_begin > 0) {
-      buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(line_begin));
-      win_off += line_begin;
-      pos -= line_begin;
-      line_begin = 0;
-    }
-    const std::size_t old = buf.size();
-    buf.resize(old + cfg.read_chunk_bytes);
-    f.read(buf.data() + old, static_cast<std::streamsize>(cfg.read_chunk_bytes));
-    const auto got = static_cast<std::size_t>(f.gcount());
-    buf.resize(old + got);
-    if (got == 0) eof = true;
-  };
-
-  EdgeBatch batch;
-  batch.shard = shard;
-  batch.edges.reserve(cfg.batch_edges);
-  const auto flush = [&](bool last) -> bool {
-    batch.last_in_shard = last;
-    if (batch.edges.empty() && !last) return true;
-    const std::uint32_t next_seq = batch.seq + 1;
-    if (!st.queue.push(std::move(batch))) return false;  // shutdown/abort
-    batch = EdgeBatch{};
-    batch.shard = shard;
-    batch.seq = next_seq;
-    batch.edges.reserve(cfg.batch_edges);
-    return true;
-  };
-
-  // Align to the first line owned by this shard.
-  if (range.begin != 0) {
-    for (;;) {
-      if (pos == buf.size()) {
-        line_begin = pos;  // nothing before the alignment point is kept
-        refill();
-        if (eof) break;
-      }
-      // buf.data() is null while the vector is empty; memchr is nonnull.
-      const void* nl = pos < buf.size()
-          ? std::memchr(buf.data() + pos, '\n', buf.size() - pos)
-          : nullptr;
-      if (nl != nullptr) {
-        pos = static_cast<std::size_t>(static_cast<const char*>(nl) -
-                                       buf.data()) + 1;
-        line_begin = pos;
-        break;
-      }
-      pos = buf.size();
-    }
+  std::uint64_t buf_off = 0;  // file offset of buf[0]
+  if (begin != 0) {
+    // Skip through the first '\n' at or after begin-1, so `begin` itself
+    // counts as a line start exactly when the byte before it is '\n'. The
+    // skipped bytes end a line the previous shard owns; ignore() drops them
+    // without buffering, however long that line is.
+    f.seekg(static_cast<std::streamoff>(begin - 1));
+    f.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+    if (f.eof()) return;  // no line starts at or after `begin`
+    buf_off = static_cast<std::uint64_t>(f.tellg());
   }
 
-  bool aborted = false;
-  while (!eof || line_begin < buf.size()) {
-    const std::uint64_t line_off = win_off + line_begin;
-    if (line_off >= range.end) break;  // next line belongs to a later shard
-    // Find the end of the current line, refilling as needed.
-    std::size_t nl_index = 0;
-    bool have_nl = false;
+  std::vector<char> buf;
+  std::size_t line = 0;  // index in buf of the current line
+  std::size_t scan = 0;  // next byte to scan for '\n'
+  bool eof = false;
+
+  // Index of the next '\n' at or after `scan`, reading more of the file
+  // (and dropping the bytes before `line`) as needed; buf.size() when the
+  // file ends first.
+  const auto find_newline = [&]() -> std::size_t {
     for (;;) {
-      const void* nl = pos < buf.size()
-          ? std::memchr(buf.data() + pos, '\n', buf.size() - pos)
-          : nullptr;
-      if (nl != nullptr) {
-        nl_index = static_cast<std::size_t>(static_cast<const char*>(nl) -
-                                            buf.data());
-        have_nl = true;
-        break;
+      if (scan < buf.size()) {
+        const void* nl =
+            std::memchr(buf.data() + scan, '\n', buf.size() - scan);
+        if (nl != nullptr)
+          return static_cast<std::size_t>(static_cast<const char*>(nl) -
+                                          buf.data());
+        scan = buf.size();
       }
-      pos = buf.size();
-      if (eof) break;
-      refill();
+      if (eof) return buf.size();
+      buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(line));
+      buf_off += line;
+      scan -= line;
+      line = 0;
+      const std::size_t old = buf.size();
+      buf.resize(old + kReadChunkBytes);
+      f.read(buf.data() + old, static_cast<std::streamsize>(kReadChunkBytes));
+      buf.resize(old + static_cast<std::size_t>(f.gcount()));
+      eof = buf.size() == old;
     }
-    const char* b = buf.data() + line_begin;
-    const char* e = have_nl ? buf.data() + nl_index : buf.data() + buf.size();
+  };
+
+  while (buf_off + line < end) {
+    const std::size_t nl = find_newline();
     graph::Edge edge;
-    switch (parse_line(b, e, edge)) {
-      case LineKind::kEdge: {
-        batch.edges.push_back(edge);
-        const graph::VertexId hi = std::max(edge.src, edge.dst);
-        if (hi > batch.max_vertex) batch.max_vertex = hi;
-        if (batch.edges.size() >= cfg.batch_edges && !flush(false)) {
-          aborted = true;
-        }
+    switch (parse_line(buf.data() + line, buf.data() + nl, edge)) {
+      case LineKind::kEdge:
+        out.edges.push_back(edge);
+        out.max_vertex = std::max({out.max_vertex, edge.src, edge.dst});
         break;
-      }
       case LineKind::kSkip:
         break;
       case LineKind::kBad:
-        st.report_error(line_off,
-                        path + ": byte offset " + std::to_string(line_off) +
-                            ": malformed line (expected 'src dst')");
-        aborted = true;
-        break;
+        out.error = path + ": byte offset " + std::to_string(buf_off + line) +
+                    ": malformed line (expected 'src dst')";
+        return;
     }
-    if (aborted) break;
-    if (!have_nl) break;  // final line of the file
-    line_begin = pos = nl_index + 1;
+    if (nl == buf.size()) break;  // final line of the file
+    line = scan = nl + 1;
   }
-  if (!aborted) flush(/*last=*/true);
-}
-
-void producer_loop(const std::string& path,
-                   const std::vector<ShardRange>& shards,
-                   const IngestConfig& cfg, IngestState& st) {
-  for (;;) {
-    const std::uint32_t i = st.next_shard.fetch_add(1);
-    if (i >= shards.size()) break;
-    if (cfg.deterministic) {
-      std::unique_lock<std::mutex> lock(st.win_mutex);
-      st.win_cv.wait(lock, [&] {
-        return st.failed.load() || st.queue.closed() ||
-               i < st.shard_floor + st.window;
-      });
-    }
-    if (st.failed.load() || st.queue.closed()) break;
-    parse_shard(path, i, shards[i], cfg, st);
-    if (st.failed.load()) break;
-  }
-  if (st.active_producers.fetch_sub(1) == 1) st.queue.close();
 }
 
 }  // namespace
 
-void ingest_text_batches(const std::string& path, const IngestConfig& cfg,
-                         const std::function<void(EdgeBatch&&)>& sink,
-                         IngestReport* report) {
-  BPART_CHECK(cfg.batch_edges >= 1);
-  BPART_CHECK(cfg.queue_capacity >= 1);
+graph::EdgeList ingest_text_edges(const std::string& path,
+                                  const IngestConfig& cfg,
+                                  IngestReport* report) {
   BPART_SPAN("ingest/text_file");
   obs::ScopedLatency ingest_latency(obs::latency("ingest.text_file"));
   Timer timer;
@@ -266,107 +152,45 @@ void ingest_text_batches(const std::string& path, const IngestConfig& cfg,
   if (ec) throw std::runtime_error("cannot open edge list: " + path);
 
   const unsigned threads = cfg.threads != 0 ? cfg.threads : thread_count();
-  const std::uint64_t want_shards =
-      std::max<std::uint64_t>(1, std::min<std::uint64_t>(
-                                     static_cast<std::uint64_t>(threads) *
-                                         std::max(1u, cfg.shards_per_thread),
-                                     bytes / kMinShardBytes));
-  const auto num_shards = static_cast<std::uint32_t>(want_shards);
-  std::vector<ShardRange> shards(num_shards);
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
-    shards[s].begin = bytes * s / num_shards;
-    shards[s].end = bytes * (s + 1) / num_shards;
-  }
+  const std::uint64_t max_shards =
+      static_cast<std::uint64_t>(threads) * kShardsPerThread;
+  const auto num_shards = static_cast<std::uint32_t>(
+      std::clamp<std::uint64_t>(bytes / kMinShardBytes, 1, max_shards));
+  const unsigned workers = std::min(threads, num_shards);
 
-  const unsigned producers = std::min<unsigned>(threads, num_shards);
-  IngestState st(cfg.queue_capacity,
-                 std::max<std::uint32_t>(2 * producers, 4));
-  st.active_producers.store(producers);
-
-  std::size_t edges = 0;
-  std::size_t batches = 0;
-  const auto deliver = [&](EdgeBatch&& b) {
-    if (b.edges.empty()) return;
-    edges += b.edges.size();
-    ++batches;
-    sink(std::move(b));
-  };
-
-  ThreadPool pool(producers);
-  std::vector<std::future<void>> futures;
-  futures.reserve(producers);
-  for (unsigned t = 0; t < producers; ++t)
-    futures.push_back(
-        pool.submit([&] { producer_loop(path, shards, cfg, st); }));
-
-  try {
-    if (cfg.deterministic) {
-      // Reassemble in (shard, seq) order; the windowed shard claiming keeps
-      // this buffer to O(window) shards of batches.
-      std::map<std::pair<std::uint32_t, std::uint32_t>, EdgeBatch> pending;
-      std::uint32_t cur_shard = 0;
-      std::uint32_t cur_seq = 0;
-      const auto drain_in_order = [&] {
-        for (;;) {
-          const auto it = pending.find({cur_shard, cur_seq});
-          if (it == pending.end()) break;
-          EdgeBatch b = std::move(it->second);
-          pending.erase(it);
-          const bool last = b.last_in_shard;
-          deliver(std::move(b));
-          if (last) {
-            ++cur_shard;
-            cur_seq = 0;
-            st.advance_floor(cur_shard);
-          } else {
-            ++cur_seq;
-          }
-        }
-      };
-      while (auto b = st.queue.pop()) {
-        pending.emplace(std::make_pair(b->shard, b->seq), std::move(*b));
-        drain_in_order();
-      }
-      drain_in_order();
-      if (!st.failed.load())
-        BPART_CHECK_MSG(pending.empty() && cur_shard == num_shards,
-                        "ingest lost batches (shard " << cur_shard << "/"
-                                                      << num_shards << ")");
-    } else {
-      while (auto b = st.queue.pop()) deliver(std::move(*b));
+  std::vector<Shard> shards(num_shards);
+  parallel_for(0, num_shards, workers, [&](std::uint64_t lo, std::uint64_t hi) {
+    for (std::uint64_t s = lo; s < hi; ++s) {
+      parse_shard(path, bytes * s / num_shards, bytes * (s + 1) / num_shards,
+                  shards[s]);
+      // This worker's later shards cannot hold the file's first bad line.
+      if (!shards[s].error.empty()) break;
     }
-  } catch (...) {
-    st.queue.close();  // unblock producers before unwinding
-    st.win_cv.notify_all();
-    for (auto& f : futures) f.wait();
-    throw;
+  });
+
+  // Shards are in byte order and each stops at its first bad line, so the
+  // first failing shard names the file's first malformed line.
+  std::size_t total = 0;
+  for (const Shard& s : shards) {
+    if (!s.error.empty()) throw std::runtime_error(s.error);
+    total += s.edges.size();
+  }
+  graph::EdgeList edges;
+  edges.reserve(total);
+  for (Shard& s : shards) {
+    edges.append(s.edges, s.max_vertex);
+    std::vector<graph::Edge>().swap(s.edges);
   }
 
-  for (auto& f : futures) f.get();
-  if (st.failed.load()) {
-    std::lock_guard<std::mutex> lock(st.err_mutex);
-    throw std::runtime_error(st.error);
-  }
-
-  obs::counter("ingest.edges").add(edges);
+  obs::counter("ingest.edges").add(total);
   obs::counter("ingest.bytes").add(bytes);
   if (report != nullptr) {
     report->seconds = timer.seconds();
     report->bytes = bytes;
-    report->edges = edges;
-    report->batches = batches;
-    report->threads = producers;
+    report->edges = total;
+    report->threads = workers;
     report->shards = num_shards;
   }
-}
-
-graph::EdgeList ingest_text_edges(const std::string& path,
-                                  const IngestConfig& cfg,
-                                  IngestReport* report) {
-  graph::EdgeList edges;
-  ingest_text_batches(
-      path, cfg,
-      [&](EdgeBatch&& b) { edges.append(b.edges, b.max_vertex); }, report);
   return edges;
 }
 

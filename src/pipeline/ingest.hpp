@@ -3,26 +3,21 @@
 // The single-threaded `graph::load_text_edges` re-parses text with
 // std::getline on every run, which dominates wall-clock for multi-million
 // edge inputs. This module splits the file into newline-aligned byte-range
-// shards, parses each shard on the shared ThreadPool with a byte-scanning
-// parser, and hands `EdgeBatch`es to the consumer through a bounded MPMC
-// queue — so memory in flight stays capped regardless of file size.
-//
-// Determinism: with `deterministic = true` (the default) the consumer
-// reassembles batches in (shard, sequence) order, so the resulting edge
-// stream is byte-for-byte the order `load_text_edges` would produce and all
-// downstream streaming partitioners see the exact same vertex/edge stream.
-// Shard claiming is windowed so the reorder buffer is bounded too.
+// shards, parses each shard into its own edge vector on util::parallel_for
+// with a byte-scanning parser, and concatenates the shards in byte order —
+// so the resulting edge stream is element-for-element the one
+// `load_text_edges` produces, and every downstream streaming partitioner
+// sees the exact same vertex/edge stream at any thread count.
 //
 // Accepted syntax matches load_text_edges: "src dst" per line with space,
 // tab or comma separators, '#'/'%' comments, blank lines, CRLF line
 // endings, trailing whitespace, and extra columns (ignored — SNAP/KONECT
-// dumps carry weights/timestamps there).
+// dumps carry weights/timestamps there). Vertex id 4294967295 is reserved
+// (graph::kInvalidVertex) and rejected like any other malformed line.
 #pragma once
 
-#include <cstdint>
-#include <functional>
+#include <cstddef>
 #include <string>
-#include <vector>
 
 #include "graph/edge_list.hpp"
 
@@ -31,57 +26,20 @@ namespace bpart::pipeline {
 struct IngestConfig {
   /// Parser threads; 0 means bpart::thread_count().
   unsigned threads = 0;
-
-  /// Edges per batch handed to the consumer.
-  std::size_t batch_edges = 1 << 15;
-
-  /// Bounded queue capacity, in batches. Together with batch_edges this
-  /// caps the parsed-but-unconsumed memory at
-  /// capacity × batch_edges × sizeof(Edge).
-  std::size_t queue_capacity = 16;
-
-  /// Shards per parser thread. More shards = finer load balancing at the
-  /// cost of more seek/realign work.
-  unsigned shards_per_thread = 4;
-
-  /// Bytes read from disk at a time by each shard parser.
-  std::size_t read_chunk_bytes = 1 << 20;
-
-  /// Reassemble batches in file order (see header comment). Turning this
-  /// off delivers batches in arrival order: same edge multiset, unspecified
-  /// order — fine for CSR construction, which sorts adjacency runs anyway.
-  bool deterministic = true;
-};
-
-/// One parsed slice of the input file.
-struct EdgeBatch {
-  std::uint32_t shard = 0;        ///< Byte-range shard this came from.
-  std::uint32_t seq = 0;          ///< Sequence number within the shard.
-  bool last_in_shard = false;     ///< Marks the shard's final batch.
-  std::vector<graph::Edge> edges;
-  graph::VertexId max_vertex = 0;  ///< Max id referenced (0 if edges empty).
 };
 
 struct IngestReport {
   double seconds = 0;        ///< Wall-clock of the whole ingest.
   std::size_t bytes = 0;     ///< File size.
   std::size_t edges = 0;     ///< Edges parsed.
-  std::size_t batches = 0;   ///< Batches delivered.
   unsigned threads = 1;      ///< Parser threads actually used.
   unsigned shards = 1;       ///< Byte-range shards.
 };
 
-/// Stream the file through the parallel parser, invoking `sink` once per
-/// batch on the calling thread (in file order when cfg.deterministic).
-/// Throws std::runtime_error on unreadable files or malformed lines, citing
-/// the byte offset of the offending line.
-void ingest_text_batches(const std::string& path, const IngestConfig& cfg,
-                         const std::function<void(EdgeBatch&&)>& sink,
-                         IngestReport* report = nullptr);
-
-/// Convenience: parallel drop-in for graph::load_text_edges. With
-/// cfg.deterministic the returned EdgeList is element-for-element identical
-/// to the single-threaded loader's.
+/// Parallel drop-in for graph::load_text_edges: the returned EdgeList is
+/// element-for-element identical to the single-threaded loader's. Throws
+/// std::runtime_error on unreadable files or malformed lines, citing the
+/// byte offset of the file's first malformed line.
 graph::EdgeList ingest_text_edges(const std::string& path,
                                   const IngestConfig& cfg = {},
                                   IngestReport* report = nullptr);

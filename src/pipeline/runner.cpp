@@ -54,22 +54,30 @@ CacheKey PipelineRunner::base_graph_key(const std::string& path) const {
                 (cfg_.symmetrize ? ":sym=1" : ":sym=0"));
 }
 
-CacheKey PipelineRunner::graph_key(const std::string& path) const {
-  const CacheKey base = base_graph_key(path);
+CacheKey PipelineRunner::reordered_key(const CacheKey& base) const {
   // Identity mode keeps the historical key so existing caches stay warm.
   if (cfg_.reorder == ReorderMode::kNone) return base;
   return base.derive(reorder_suffix(cfg_));
 }
 
+CacheKey PipelineRunner::graph_key(const std::string& path) const {
+  return reordered_key(base_graph_key(path));
+}
+
 graph::Graph PipelineRunner::load_graph(const std::string& path) {
+  return load_graph(path, base_graph_key(path));
+}
+
+graph::Graph PipelineRunner::load_graph(const std::string& path,
+                                        const CacheKey& base) {
   BPART_SPAN("ingest/load_graph");
   report_ = PipelineReport{};
   perm_.clear();
+  const CacheKey rkey = reordered_key(base);
   Timer cache_timer;
   if (cache_on_ && cfg_.reorder != ReorderMode::kNone) {
     // Warmest path: the reordered CSR and its permutation are both cached
     // under the ro-suffixed key — skip parse, build and relabel entirely.
-    const CacheKey rkey = graph_key(path);
     auto cached = store_.load_graph(rkey);
     auto cperm = store_.load_perm(rkey);
     if (cached && cperm && cperm->size() == cached->num_vertices()) {
@@ -87,8 +95,7 @@ graph::Graph PipelineRunner::load_graph(const std::string& path) {
     }
   }
   if (cache_on_) {
-    const CacheKey key = base_graph_key(path);
-    if (auto cached = store_.load_graph(key)) {
+    if (auto cached = store_.load_graph(base)) {
       report_.cache_seconds = cache_timer.seconds();
       report_.graph_cache_hit = true;
       report_.vertices = cached->num_vertices();
@@ -96,24 +103,14 @@ graph::Graph PipelineRunner::load_graph(const std::string& path) {
       LOG_INFO << "[pipeline] graph cache hit for " << path << " ("
                << report_.vertices << " vertices, " << report_.edges
                << " edges, " << report_.cache_seconds << "s)";
-      return reorder_stage(std::move(*cached), graph_key(path));
+      return reorder_stage(std::move(*cached), rkey);
     }
   }
   report_.cache_seconds = cache_timer.seconds();
 
-  // Cold path: stream batches off the bounded queue, counting degrees as
-  // they arrive, then build the CSR once the stream is drained.
-  graph::EdgeList edges;
-  std::vector<graph::EdgeId> degrees;
-  ingest_text_batches(
-      path, cfg_.ingest,
-      [&](EdgeBatch&& b) {
-        if (b.max_vertex >= degrees.size()) degrees.resize(b.max_vertex + 1, 0);
-        for (const graph::Edge& e : b.edges) ++degrees[e.src];
-        edges.append(b.edges, b.max_vertex);
-      },
-      &report_.ingest);
-  report_.degree_summary = stats::summarize(stats::to_doubles(degrees));
+  graph::EdgeList edges = ingest_text_edges(path, cfg_.ingest, &report_.ingest);
+  report_.degree_summary =
+      stats::summarize(stats::to_doubles(edges.out_degrees()));
 
   Timer build_timer;
   graph::Graph g = cfg_.symmetrize
@@ -129,14 +126,14 @@ graph::Graph PipelineRunner::load_graph(const std::string& path) {
 
   if (cache_on_) {
     cache_timer.reset();
-    store_.store_graph(base_graph_key(path), g);
+    store_.store_graph(base, g);
     report_.cache_seconds += cache_timer.seconds();
   }
-  return reorder_stage(std::move(g), graph_key(path));
+  return reorder_stage(std::move(g), rkey);
 }
 
 graph::Graph PipelineRunner::reorder_stage(graph::Graph g,
-                                           const CacheKey& reordered_key) {
+                                           const CacheKey& rkey) {
   if (cfg_.reorder == ReorderMode::kNone) return g;
   BPART_SPAN("pipeline/reorder");
   Timer t;
@@ -149,8 +146,8 @@ graph::Graph PipelineRunner::reorder_stage(graph::Graph g,
            << report_.reorder_seconds << "s";
   if (cache_on_) {
     Timer cache_timer;
-    store_.store_graph(reordered_key, rg);
-    store_.store_perm(reordered_key, perm_);
+    store_.store_graph(rkey, rg);
+    store_.store_perm(rkey, perm_);
     report_.cache_seconds += cache_timer.seconds();
   }
   return rg;
@@ -204,10 +201,12 @@ partition::Partition PipelineRunner::partition_graph(const graph::Graph& g,
 PipelineRunner::Result PipelineRunner::run_file(const std::string& path,
                                                 const std::string& algo,
                                                 partition::PartId k) {
-  graph::Graph g = load_graph(path);
+  // The base key hashes the whole input file: compute it once per call.
+  const CacheKey base = base_graph_key(path);
+  graph::Graph g = load_graph(path, base);
   // Preserve the stage report across the two calls: partition_graph only
   // touches the partition/cache fields.
-  partition::Partition p = partition_graph(g, graph_key(path), algo, k);
+  partition::Partition p = partition_graph(g, reordered_key(base), algo, k);
   return Result{std::move(g), std::move(p), perm_};
 }
 

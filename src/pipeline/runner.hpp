@@ -56,8 +56,8 @@ struct PipelineReport {
   bool partition_cache_hit = false;
   graph::VertexId vertices = 0;
   graph::EdgeId edges = 0;
-  /// Dispersion of the out-degrees counted while the edge stream was
-  /// consumed (bias/fairness per util/stats); zeroed on graph cache hit.
+  /// Dispersion of the parsed edge list's out-degrees (bias/fairness per
+  /// util/stats); zeroed on graph cache hit.
   stats::Summary degree_summary;
 };
 
@@ -66,7 +66,7 @@ class PipelineRunner {
   explicit PipelineRunner(PipelineConfig cfg = {});
 
   /// Text edge list -> CSR through the parallel ingest path, artifact
-  /// cache consulted first. Throws like ingest_text_batches on bad input.
+  /// cache consulted first. Throws like ingest_text_edges on bad input.
   graph::Graph load_graph(const std::string& path);
 
   /// Partition a graph under an explicit base key (file inputs get it from
@@ -125,11 +125,16 @@ class PipelineRunner {
 
  private:
   /// Key of the un-reordered ingest product (reorder mode not folded in).
+  /// Hashes the whole file, so each public entry point computes it once.
   [[nodiscard]] CacheKey base_graph_key(const std::string& path) const;
+  /// graph_key() derived from an already computed base key.
+  [[nodiscard]] CacheKey reordered_key(const CacheKey& base) const;
+  /// load_graph() under the precomputed base key of `path`.
+  graph::Graph load_graph(const std::string& path, const CacheKey& base);
   /// Reorder stage: relabel `g` per cfg_.reorder, consulting/populating the
-  /// graph+perm artifacts under `reordered_key`; fills perm_ and the
-  /// reorder report fields. Identity mode returns `g` untouched.
-  graph::Graph reorder_stage(graph::Graph g, const CacheKey& reordered_key);
+  /// graph+perm artifacts under `rkey`; fills perm_ and the reorder report
+  /// fields. Identity mode returns `g` untouched.
+  graph::Graph reorder_stage(graph::Graph g, const CacheKey& rkey);
 
   PipelineConfig cfg_;
   ArtifactStore store_;

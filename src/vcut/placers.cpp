@@ -1,44 +1,22 @@
 #include "vcut/placers.hpp"
 
 #include <algorithm>
-#include <future>
 #include <vector>
 
+#include "exec/scheduler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 #include "vcut/hdrf_state.hpp"
 
 namespace bpart::vcut {
 
 namespace {
 
-/// Slice [0, n) across the pool's workers; fn(lo, hi). Inline when the pool
-/// is null. Slicing only distributes independent iterations, so results
-/// never depend on the worker count.
-template <typename Fn>
-void run_slices(ThreadPool* pool, std::size_t n, Fn&& fn) {
-  if (pool == nullptr || n == 0) {
-    fn(std::size_t{0}, n);
-    return;
-  }
-  const auto slices =
-      static_cast<unsigned>(std::min<std::size_t>(pool->size(), n));
-  std::vector<std::future<void>> done;
-  done.reserve(slices);
-  const std::size_t step = n / slices;
-  const std::size_t rem = n % slices;
-  std::size_t lo = 0;
-  for (unsigned s = 0; s < slices; ++s) {
-    const std::size_t hi = lo + step + (s < rem ? 1 : 0);
-    done.push_back(pool->submit([&fn, lo, hi] { fn(lo, hi); }));
-    lo = hi;
-  }
-  for (std::future<void>& f : done) f.get();
-}
+/// Pairs per scoring chunk of the buffered placer.
+constexpr std::uint32_t kScoreChunk = 256;
 
 std::uint64_t pair_capacity(std::size_t num_pairs, PartId k, double slack) {
   const auto ceil_avg =
@@ -141,9 +119,7 @@ EdgePartition BufferedHdrf::partition(const graph::Graph& g, PartId k) const {
   const std::size_t warm = std::min(batch, num_pairs);
   for (std::size_t i = 0; i < warm; ++i) commit(pairs[i], st.best_part(pairs[i]));
 
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1 && warm < num_pairs)
-    pool = std::make_unique<ThreadPool>(threads);
+  exec::Executor ex(warm < num_pairs ? threads : 1);
 
   std::vector<PartId> choices(batch);
   std::uint64_t batches = 0;
@@ -152,9 +128,11 @@ EdgePartition BufferedHdrf::partition(const graph::Graph& g, PartId k) const {
     ++batches;
     // Score phase: st is frozen (mutations only happen in the commit loop
     // below), so every choice is a pure function of the batch-boundary
-    // snapshot — independent of slicing, hence of the thread count.
-    run_slices(pool.get(), hi - lo, [&](std::size_t slo, std::size_t shi) {
-      for (std::size_t j = slo; j < shi; ++j)
+    // snapshot — independent of chunking, hence of the thread count.
+    const auto plan = exec::ChunkScheduler::over_items(hi - lo, kScoreChunk);
+    ex.run(plan, [&](unsigned, std::uint32_t, std::uint32_t clo,
+                     std::uint32_t chi) {
+      for (std::uint32_t j = clo; j < chi; ++j)
         choices[j] = st.best_part(pairs[lo + j]);
     });
     // Commit phase: stream order, exact state.

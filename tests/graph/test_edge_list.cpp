@@ -52,6 +52,23 @@ TEST(EdgeList, AppendValidatesClaimedMaxVertex) {
   EXPECT_EQ(ok.out_degrees().size(), 8u);
 }
 
+TEST(EdgeList, AddAndAppendRejectReservedVertexId) {
+  // kInvalidVertex + 1 wraps the vertex count to 0; both entry points must
+  // refuse it and leave the list untouched.
+  EdgeList el;
+  EXPECT_THROW(el.add(kInvalidVertex, 0), CheckError);
+  EXPECT_THROW(el.add(0, kInvalidVertex), CheckError);
+  EXPECT_THROW(el.add_undirected(1, kInvalidVertex), CheckError);
+  const std::vector<Edge> batch{{kInvalidVertex, 0}};
+  EXPECT_THROW(el.append(batch, kInvalidVertex), CheckError);
+  const std::vector<Edge> small{{1, 2}};
+  EXPECT_THROW(el.append(small, kInvalidVertex), CheckError);
+  EXPECT_EQ(el.size(), 0u);
+  EXPECT_EQ(el.num_vertices(), 0u);
+  el.add(kInvalidVertex - 1, 0);
+  EXPECT_EQ(el.num_vertices(), kInvalidVertex);
+}
+
 TEST(EdgeList, SetNumVerticesAllowsIsolatedTail) {
   EdgeList el;
   el.add(0, 1);

@@ -132,6 +132,25 @@ TEST_F(IoTest, TextRejectsMalformedLine) {
   }
 }
 
+TEST_F(IoTest, TextRejectsReservedVertexId) {
+  // 4294967295 is kInvalidVertex: as an id it would wrap the vertex count
+  // to 0 and send the CSR build out of bounds.
+  std::ofstream f(path("max.txt"));
+  f << "0 1\n4294967295 0\n";
+  f.close();
+  try {
+    load_text_edges(path("max.txt"));
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(":2: bad vertex id"), std::string::npos) << what;
+  }
+  std::ofstream g(path("max_dst.txt"));
+  g << "0 4294967295\n";
+  g.close();
+  EXPECT_THROW(load_text_edges(path("max_dst.txt")), std::runtime_error);
+}
+
 TEST_F(IoTest, TextRejectsMissingDst) {
   std::ofstream f(path("half.txt"));
   f << "42\n";

@@ -39,7 +39,6 @@ class RunnerTest : public ::testing::Test {
   [[nodiscard]] PipelineConfig config() const {
     PipelineConfig cfg;
     cfg.ingest.threads = 4;
-    cfg.ingest.batch_edges = 512;
     cfg.cache_dir = (dir_ / "cache").string();
     return cfg;
   }
@@ -133,6 +132,26 @@ TEST_F(RunnerTest, CacheCanBeDisabled) {
   PipelineRunner again(cfg);
   (void)again.run_file(input_, "hash", 4);
   EXPECT_FALSE(again.report().graph_cache_hit);
+}
+
+TEST_F(RunnerTest, ReservedVertexIdThrowsInsteadOfCrashing) {
+  // As an id, 4294967295 would wrap the edge list's vertex count to 0 and
+  // send the CSR build to offsets[2^32]. With the cache on or off and either
+  // CSR build, it must be a clean parse error.
+  const std::string bad = (dir_ / "max.txt").string();
+  {
+    std::ofstream f(bad);
+    f << "0 1\n4294967295 0\n";
+  }
+  for (const bool cache : {true, false}) {
+    for (const bool sym : {false, true}) {
+      PipelineConfig cfg = config();
+      cfg.use_cache = cache;
+      cfg.symmetrize = sym;
+      PipelineRunner runner(cfg);
+      EXPECT_THROW((void)runner.run_file(bad, "bpart", 4), std::runtime_error);
+    }
+  }
 }
 
 TEST_F(RunnerTest, SymmetrizeModeMatchesLegacySymmetricBuild) {

@@ -66,7 +66,8 @@ TEST(EstimatePpr, MatchesExactOnSmallGraph) {
 TEST(EstimatePpr, TopListSortedDescending) {
   const Graph g = lollipop();
   const auto parts = partition::ChunkV().partition(g, 2);
-  const auto est = estimate_ppr(g, parts, 0, {.num_walks = 20000});
+  const auto est =
+      estimate_ppr(g, parts, 0, {.num_walks = 20000, .exec = {}});
   for (std::size_t i = 1; i < est.top.size(); ++i)
     EXPECT_GE(est.top[i - 1].score, est.top[i].score);
 }
@@ -74,7 +75,8 @@ TEST(EstimatePpr, TopListSortedDescending) {
 TEST(EstimatePpr, SourceTopsTheList) {
   const Graph g = lollipop();
   const auto parts = partition::ChunkV().partition(g, 2);
-  const auto est = estimate_ppr(g, parts, 0, {.num_walks = 20000});
+  const auto est =
+      estimate_ppr(g, parts, 0, {.num_walks = 20000, .exec = {}});
   ASSERT_FALSE(est.top.empty());
   EXPECT_EQ(est.top[0].vertex, 0u);
 }
@@ -108,7 +110,8 @@ TEST(EstimatePpr, PathEndSourceMatchesExactTopVertex) {
   // estimator must agree with the exact solver about that.
   const Graph g = lollipop();
   const auto parts = partition::ChunkV().partition(g, 2);
-  const auto est = estimate_ppr(g, parts, 7, {.num_walks = 50000});
+  const auto est =
+      estimate_ppr(g, parts, 7, {.num_walks = 50000, .exec = {}});
   const auto exact = exact_ppr(g, 7, 0.15);
   ASSERT_FALSE(est.top.empty());
   const auto exact_top = static_cast<graph::VertexId>(

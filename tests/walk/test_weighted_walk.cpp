@@ -60,7 +60,7 @@ TEST(WeightedWalk, EmpiricalFrequenciesFollowWeights) {
   el.add(0, 1);
   el.add(0, 2);
   const Graph g = Graph::from_edges(el);
-  const WeightedRandomWalk app(g, {.length = 1});
+  const WeightedRandomWalk app(g, {.length = 1, .exec = {}});
   const double p1 = app.transition_probability(0, 0);
 
   int first = 0;
@@ -77,7 +77,7 @@ TEST(WeightedWalk, EmpiricalFrequenciesFollowWeights) {
 
 TEST(WeightedWalk, FixedLengthOnLattice) {
   const Graph g = lattice();
-  const WeightedRandomWalk app(g, {.length = 6});
+  const WeightedRandomWalk app(g, {.length = 6, .exec = {}});
   const auto report =
       run_walks(g, partition::ChunkV().partition(g, 4), app, {});
   EXPECT_EQ(report.total_steps,
@@ -88,7 +88,7 @@ TEST(WeightedWalk, DeadEndsStopWalkers) {
   EdgeList el;
   el.add(0, 1);  // 1 is a sink
   const Graph g = Graph::from_edges(el);
-  const WeightedRandomWalk app(g, {.length = 10});
+  const WeightedRandomWalk app(g, {.length = 10, .exec = {}});
   const auto report =
       run_walks(g, partition::ChunkV().partition(g, 1), app, {});
   EXPECT_EQ(report.total_steps, 1u);
