@@ -18,17 +18,23 @@ class Graph {
  public:
   /// Builds CSR from an edge list (treated as directed edges).
   /// The edge list is not modified; duplicates are kept as parallel edges.
-  static Graph from_edges(const EdgeList& edges);
+  /// Every adjacency run comes out sorted. The build runs on `workers`
+  /// threads (0 means bpart::thread_count(); small lists build inline) and
+  /// its output is identical at every worker count.
+  static Graph from_edges(const EdgeList& edges, unsigned workers = 0);
 
   /// Convenience: build a symmetric graph (each input edge present in both
-  /// directions, self-loops removed, duplicates collapsed).
-  static Graph from_edges_symmetric(EdgeList edges);
+  /// directions, self-loops removed, duplicates collapsed). Takes the list
+  /// by value so a moved-in list is freed once the build has read it;
+  /// `workers` as for from_edges.
+  static Graph from_edges_symmetric(EdgeList edges, unsigned workers = 0);
 
   /// Adopt pre-built CSR arrays (e.g. deserialized from the artifact
   /// cache). Validates structural invariants — offset lengths, monotone
-  /// offsets, target bounds, out/in edge-count agreement — and throws
-  /// std::invalid_argument on violation so a stale or foreign cache file
-  /// can never produce an out-of-bounds graph.
+  /// offsets, target bounds, ascending (non-decreasing) adjacency runs,
+  /// out/in edge-count agreement — and throws std::invalid_argument on
+  /// violation so a stale or foreign cache file can never produce an
+  /// out-of-bounds graph or break a reader that binary-searches a run.
   static Graph from_csr(std::vector<EdgeId> out_offsets,
                         std::vector<VertexId> out_targets,
                         std::vector<EdgeId> in_offsets,
@@ -106,6 +112,15 @@ class Graph {
   }
 
  private:
+  friend Graph apply_permutation(const Graph& g,
+                                 const std::vector<VertexId>& perm,
+                                 unsigned workers);
+
+  /// apply_permutation's CSR-to-CSR relabel; perm is a checked
+  /// permutation of [0, n).
+  static Graph relabeled(const Graph& g, std::span<const VertexId> perm,
+                         unsigned workers);
+
   // offsets have length n+1 (or 0 for an empty graph); targets length == m.
   std::vector<EdgeId> out_offsets_;
   std::vector<VertexId> out_targets_;

@@ -18,16 +18,12 @@ bool is_permutation(const std::vector<VertexId>& perm) {
   return true;
 }
 
-Graph apply_permutation(const Graph& g, const std::vector<VertexId>& perm) {
+Graph apply_permutation(const Graph& g, const std::vector<VertexId>& perm,
+                        unsigned workers) {
   BPART_CHECK_MSG(perm.size() == g.num_vertices(),
                   "permutation size mismatch");
   BPART_CHECK_MSG(is_permutation(perm), "not a permutation of [0, n)");
-  EdgeList edges(g.num_vertices());
-  edges.reserve(g.num_edges());
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    for (VertexId u : g.out_neighbors(v)) edges.add(perm[v], perm[u]);
-  edges.set_num_vertices(g.num_vertices());
-  return Graph::from_edges(edges);
+  return Graph::relabeled(g, perm, workers);
 }
 
 std::vector<VertexId> degree_order(const Graph& g) {

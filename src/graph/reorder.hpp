@@ -16,8 +16,13 @@ namespace bpart::graph {
 
 /// Relabel: new id of v is perm[v]. perm must be a permutation of [0, n).
 /// Structure is preserved exactly (degrees, triangles, components move
-/// with the labels).
-Graph apply_permutation(const Graph& g, const std::vector<VertexId>& perm);
+/// with the labels). Relabels CSR-to-CSR: new out-run perm[v] is v's
+/// out-run mapped through perm and sorted, and the in-side is its
+/// transpose. Runs on `workers` threads (0 means bpart::thread_count();
+/// small graphs relabel inline), with output identical at every worker
+/// count.
+Graph apply_permutation(const Graph& g, const std::vector<VertexId>& perm,
+                        unsigned workers = 0);
 
 /// perm sorting vertices by descending out-degree (stable: id tie-break).
 /// Produces the "hubs first" layout real crawls approximate.

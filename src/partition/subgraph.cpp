@@ -57,7 +57,7 @@ Subgraph build_part(const graph::Graph& g, const Partition& p, PartId part,
   const std::size_t num_vertices = sub.global_id.size();
 
   // Out-CSR: in-part targets, then ghost targets, each in global order —
-  // already sorted by local id when g's run is sorted by global id.
+  // already sorted by local id, since every Graph's runs ascend.
   std::vector<EdgeId> out_offsets(num_vertices + 1, 0);
   for (VertexId lid = 0; lid < sub.num_local; ++lid)
     out_offsets[lid + 1] = out_offsets[lid] + g.out_degree(owned[lid]);
@@ -66,17 +66,14 @@ Subgraph build_part(const graph::Graph& g, const Partition& p, PartId part,
   std::vector<VertexId> out_targets(out_offsets.back());
   for (VertexId lid = 0; lid < sub.num_local; ++lid) {
     const auto run = g.out_neighbors(owned[lid]);
-    const auto out = out_targets.begin() +
-                     static_cast<std::ptrdiff_t>(out_offsets[lid]);
-    auto at = out;
+    auto at = out_targets.begin() +
+              static_cast<std::ptrdiff_t>(out_offsets[lid]);
     for (const VertexId u : run)
       if (p[u] == part) *at++ = local_in_owner[u];
     const auto ghosts_begin = at;
     for (const VertexId u : run)
       if (p[u] != part) *at++ = scratch.slot[u];
     sub.cut_edges += static_cast<std::uint64_t>(at - ghosts_begin);
-    // A CSR adopted through Graph::from_csr may carry unsorted runs.
-    if (!std::is_sorted(run.begin(), run.end())) std::sort(out, at);
   }
 
   // In-CSR: one counting sort over sources in ascending local id.
@@ -166,10 +163,9 @@ bool verify_subgraphs(const graph::Graph& g, const Partition& p,
       // Ghosts hold no out-edges locally.
       if (ghost && local.out_degree(lid) != 0) return false;
       if (ghost) continue;
-      // Owned vertices carry their full global adjacency, renumbered and
-      // sorted by local id.
+      // Owned vertices carry their full global adjacency, renumbered (runs
+      // are sorted by local id: Graph::from_csr checks that).
       const auto run = local.out_neighbors(lid);
-      if (!std::is_sorted(run.begin(), run.end())) return false;
       mapped.clear();
       for (const VertexId t : run) mapped.push_back(sub.global_id[t]);
       const auto want = g.out_neighbors(global);

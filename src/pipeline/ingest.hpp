@@ -24,7 +24,8 @@
 namespace bpart::pipeline {
 
 struct IngestConfig {
-  /// Parser threads; 0 means bpart::thread_count().
+  /// Load-stage threads: parse, CSR build, relabel. 0 means
+  /// bpart::thread_count().
   unsigned threads = 0;
 };
 

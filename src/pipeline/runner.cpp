@@ -113,9 +113,11 @@ graph::Graph PipelineRunner::load_graph(const std::string& path,
       stats::summarize(stats::to_doubles(edges.out_degrees()));
 
   Timer build_timer;
-  graph::Graph g = cfg_.symmetrize
-                       ? graph::Graph::from_edges_symmetric(std::move(edges))
-                       : graph::Graph::from_edges(edges);
+  graph::Graph g =
+      cfg_.symmetrize
+          ? graph::Graph::from_edges_symmetric(std::move(edges),
+                                               cfg_.ingest.threads)
+          : graph::Graph::from_edges(edges, cfg_.ingest.threads);
   report_.build_seconds = build_timer.seconds();
   report_.vertices = g.num_vertices();
   report_.edges = g.num_edges();
@@ -138,8 +140,9 @@ graph::Graph PipelineRunner::reorder_stage(graph::Graph g,
   BPART_SPAN("pipeline/reorder");
   Timer t;
   perm_ = graph::select_order(g, cfg_.reorder, cfg_.reorder_seed);
-  graph::Graph rg =
-      perm_.empty() ? std::move(g) : graph::apply_permutation(g, perm_);
+  graph::Graph rg = perm_.empty() ? std::move(g)
+                                  : graph::apply_permutation(
+                                        g, perm_, cfg_.ingest.threads);
   report_.reorder_seconds = t.seconds();
   LOG_INFO << "[pipeline] relabeled vertices ("
            << reorder_mode_name(cfg_.reorder) << ") in "

@@ -6,9 +6,32 @@
 
 #include <unistd.h>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "util/logging.hpp"
 
 namespace bpart {
+
+namespace {
+
+/// CPUs in the calling thread's affinity mask (what `nproc` prints), else
+/// std::thread::hardware_concurrency(), else 1.
+unsigned available_cpus() {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int count = CPU_COUNT(&set);
+    if (count > 0) return static_cast<unsigned>(count);
+  }
+#endif
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1u : hw;
+}
+
+}  // namespace
 
 std::string expand_path_pattern(std::string_view path) {
   std::string out;
@@ -68,10 +91,7 @@ unsigned thread_count(unsigned requested) {
       LOG_WARN << "BPART_THREADS is not a number: " << env;
     }
   }
-  if (n == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    n = hw == 0 ? 1u : hw;
-  }
+  if (n == 0) n = available_cpus();
   if (requested != 0) n = std::min(n, requested);
   return n;
 }

@@ -18,8 +18,10 @@ std::string expand_path_pattern(std::string_view path);
 double dataset_scale();
 
 /// Worker threads to use for parallel sections: $BPART_THREADS when set
-/// (clamped to [1, 256]; junk falls through), else
-/// std::thread::hardware_concurrency(), else 1. A nonzero `requested` caps
+/// (clamped to [1, 256]; junk falls through), else the CPUs the calling
+/// thread may run on (its affinity mask, as `nproc` counts them, so
+/// `taskset -c 0` means 1), else std::thread::hardware_concurrency() when
+/// the mask cannot be read or off Linux, else 1. A nonzero `requested` caps
 /// the result — executors pass the natural parallelism of their job (e.g.
 /// one thread per simulated machine) so a small override serializes onto
 /// fewer OS threads instead of oversubscribing. Re-reads the environment on

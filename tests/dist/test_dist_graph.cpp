@@ -16,7 +16,6 @@
 namespace bpart::dist {
 namespace {
 
-using graph::EdgeId;
 using graph::Graph;
 using graph::VertexId;
 using partition::Partition;
@@ -175,24 +174,6 @@ TEST(DistGraphLoader, SinglePartMatchesReference) {
   check_loader(social,
                Partition(std::vector<PartId>(social.num_vertices(), 0), 1),
                "social k=1");
-}
-
-TEST(DistGraphLoader, UnsortedAdoptedRunsMatchReference) {
-  // Graph::from_csr does not require sorted runs; the subgraph runs must
-  // still come out sorted by local id.
-  const Graph sorted = edge_case_graph();
-  std::vector<EdgeId> out_off(sorted.out_offsets().begin(),
-                              sorted.out_offsets().end());
-  std::vector<VertexId> out_tgt(sorted.out_targets().begin(),
-                                sorted.out_targets().end());
-  for (VertexId v = 0; v < sorted.num_vertices(); ++v)
-    std::reverse(out_tgt.begin() + static_cast<std::ptrdiff_t>(out_off[v]),
-                 out_tgt.begin() + static_cast<std::ptrdiff_t>(out_off[v + 1]));
-  const Graph g = Graph::from_csr(
-      std::move(out_off), std::move(out_tgt),
-      {sorted.in_offsets().begin(), sorted.in_offsets().end()},
-      {sorted.in_targets().begin(), sorted.in_targets().end()});
-  check_loader(g, edge_case_partition(g.num_vertices(), 4), "unsorted runs");
 }
 
 TEST(DistGraphLoader, PaperPartitionersMatchReference) {

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "reference_csr.hpp"
 
 namespace bpart::graph {
 namespace {
@@ -110,6 +114,96 @@ TEST(Graph, FromEdgesSymmetricCleansInput) {
   EXPECT_EQ(g.num_edges(), 2u);
   EXPECT_EQ(g.out_degree(0), 1u);
   EXPECT_EQ(g.out_degree(1), 1u);
+}
+
+TEST(Graph, FromCsrRejectsUnsortedRun) {
+  // Symmetric as an edge set, but run 0 is {2, 1}: a reader that
+  // binary-searches it misses 1, so is_symmetric() would say false.
+  EXPECT_THROW(Graph::from_csr({0, 2, 3, 4}, {2, 1, 0, 0}, {0, 2, 3, 4},
+                               {2, 1, 0, 0}),
+               std::invalid_argument);
+  // The in-side is checked too.
+  EXPECT_THROW(Graph::from_csr({0, 2, 3, 4}, {1, 2, 0, 0}, {0, 2, 3, 4},
+                               {2, 1, 0, 0}),
+               std::invalid_argument);
+  const Graph sorted = Graph::from_csr({0, 2, 3, 4}, {1, 2, 0, 0},
+                                       {0, 2, 3, 4}, {1, 2, 0, 0});
+  EXPECT_TRUE(sorted.is_symmetric());
+  // Non-decreasing, not strictly increasing: parallel edges stay legal.
+  const Graph parallel =
+      Graph::from_csr({0, 2, 2}, {1, 1}, {0, 0, 2}, {0, 0});
+  EXPECT_EQ(parallel.out_degree(0), 2u);
+}
+
+/// Both builders at every worker count against the sequential references.
+void expect_builds_match_reference(const EdgeList& el,
+                                   const std::string& what) {
+  const Graph directed = testing::reference_from_edges(el);
+  const Graph symmetric = testing::reference_from_edges_symmetric(el);
+  for (const unsigned workers : testing::kWorkerCounts) {
+    const std::string at = what + " workers=" + std::to_string(workers);
+    testing::expect_identical(Graph::from_edges(el, workers), directed,
+                              at + " directed");
+    testing::expect_identical(Graph::from_edges_symmetric(el, workers),
+                              symmetric, at + " symmetric");
+  }
+}
+
+TEST(GraphBuild, EdgeCasesMatchReference) {
+  expect_builds_match_reference(testing::edge_case_list(), "edge cases");
+}
+
+TEST(GraphBuild, EmptyAndSingleVertexMatchReference) {
+  expect_builds_match_reference(EdgeList{}, "empty");
+  expect_builds_match_reference(EdgeList(1), "n=1");
+  EdgeList loop;
+  loop.add(0, 0);
+  expect_builds_match_reference(loop, "n=1 self-loop");
+}
+
+TEST(GraphBuild, HubHeavyListMatchesReference) {
+  // Three vertices share 2^18 edges, so 8 workers split a hub run and
+  // leave most vertex ranges empty.
+  EdgeList el;
+  for (VertexId i = 0; i < (1u << 18); ++i)
+    el.add(i % 7 == 0 ? 2 : 0, i % 3);
+  expect_builds_match_reference(el, "hub-heavy");
+}
+
+TEST(GraphBuild, LargeGraphMatchesReference) {
+  const EdgeList& el = testing::large_list();
+  ASSERT_GE(el.size(), 600'000u) << "8 workers must run past the grain";
+  expect_builds_match_reference(el, "community_scale_free");
+}
+
+TEST(GraphBuild, WithAppendedMatchesRebuild) {
+  // Parallel and repeated edges, self-loops, new ids (12..15, 15 left
+  // isolated), and an empty base.
+  const EdgeList base = testing::edge_case_list();
+  const std::vector<Edge> delta{{0, 1}, {0, 0},  {11, 3}, {3, 11}, {12, 5},
+                                {14, 14}, {5, 12}, {2, 9}, {9, 2},  {0, 1}};
+  EdgeList all = base;
+  for (const Edge& e : delta) all.add(e.src, e.dst);
+  all.set_num_vertices(16);
+  testing::expect_identical(Graph::from_edges(base).with_appended(delta, 16),
+                            testing::reference_from_edges(all),
+                            "edge cases");
+  EdgeList only_delta(16);
+  for (const Edge& e : delta) only_delta.add(e.src, e.dst);
+  testing::expect_identical(Graph().with_appended(delta, 16),
+                            testing::reference_from_edges(only_delta),
+                            "empty base");
+
+  // A delta of 10% of a generated list touches most runs.
+  const EdgeList& large = testing::large_list();
+  const std::size_t split = large.size() / 10 * 9;
+  EdgeList head(large.num_vertices());
+  for (std::size_t i = 0; i < split; ++i) head.add(large[i].src, large[i].dst);
+  head.set_num_vertices(large.num_vertices());
+  testing::expect_identical(
+      Graph::from_edges(head).with_appended(large.edges().subspan(split),
+                                            large.num_vertices()),
+      testing::reference_from_edges(large), "community_scale_free");
 }
 
 TEST(Graph, OutDegreesVector) {

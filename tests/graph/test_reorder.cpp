@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "graph/analysis.hpp"
 #include "graph/generators.hpp"
+#include "reference_csr.hpp"
 #include "util/check.hpp"
 
 namespace bpart::graph {
@@ -72,6 +75,35 @@ TEST(ApplyPermutation, ValidatesInput) {
   }());
   EXPECT_THROW(apply_permutation(g, {0}), CheckError);      // wrong size
   EXPECT_THROW(apply_permutation(g, {0, 0}), CheckError);   // not a perm
+}
+
+/// apply_permutation at every worker count against the edge-list
+/// relabel, for each pipeline order on the directed and symmetric graph.
+void expect_relabels_match_reference(const EdgeList& el,
+                                     const std::string& what) {
+  const std::pair<std::string, Graph> graphs[] = {
+      {what + " directed", Graph::from_edges(el)},
+      {what + " symmetric", Graph::from_edges_symmetric(el)}};
+  for (const auto& [name, g] : graphs)
+    for (const ReorderMode mode :
+         {ReorderMode::kDegree, ReorderMode::kBfs, ReorderMode::kRandom}) {
+      const auto perm = select_order(g, mode, 7);
+      const Graph want = testing::reference_apply_permutation(g, perm);
+      for (const unsigned workers : testing::kWorkerCounts)
+        testing::expect_identical(apply_permutation(g, perm, workers), want,
+                                  name + " " + reorder_mode_name(mode) +
+                                      " workers=" + std::to_string(workers));
+    }
+}
+
+TEST(ApplyPermutation, EdgeCasesMatchReference) {
+  expect_relabels_match_reference(testing::edge_case_list(), "edge cases");
+}
+
+TEST(ApplyPermutation, LargeGraphMatchesReference) {
+  const EdgeList& el = testing::large_list();
+  ASSERT_GE(el.size(), 600'000u) << "8 workers must run past the grain";
+  expect_relabels_match_reference(el, "community_scale_free");
 }
 
 TEST(DegreeOrder, SortsHubsFirst) {

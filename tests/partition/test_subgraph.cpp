@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "graph/generators.hpp"
 #include "partition/metrics.hpp"
 #include "partition/registry.hpp"
@@ -99,10 +101,11 @@ TEST(Subgraph, VerifyRejectsScrambledTargets) {
   auto replaced = out;
   replaced[0] = 0;
   EXPECT_FALSE(verify_subgraphs(g, p, rebuilt(replaced, in)));
-  // Right targets, wrong order: the run is no longer sorted by local id.
+  // Right targets, wrong order: Graph::from_csr refuses the unsorted run,
+  // so no subgraph can carry one.
   auto swapped = out;
   std::swap(swapped[0], swapped[1]);
-  EXPECT_FALSE(verify_subgraphs(g, p, rebuilt(swapped, in)));
+  EXPECT_THROW(rebuilt(swapped, in), std::invalid_argument);
   // Out-CSR intact, in-CSR not its transpose.
   auto not_transpose = in;
   std::swap(not_transpose.front(), not_transpose.back());

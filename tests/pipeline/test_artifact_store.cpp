@@ -5,8 +5,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 
 #include "graph/generators.hpp"
 
@@ -115,6 +117,64 @@ TEST_F(ArtifactStoreTest, BitFlippedPayloadFailsChecksum) {
   f.write(&c, 1);
   f.close();
   EXPECT_FALSE(s.load_graph(key).has_value());
+}
+
+/// FNV-1a over `bytes`, as the store seals every payload.
+std::uint64_t fnv1a(std::span<const char> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST_F(ArtifactStoreTest, UnsortedRunIsRejectedAndRemoved) {
+  // An entry whose checksum holds but whose CSR breaks an invariant the
+  // readers rely on: two targets of one out-run swapped, the payload hash
+  // re-sealed over the edit.
+  const CacheKey key = CacheKey::for_spec("unsorted");
+  const ArtifactStore s = store();
+  const graph::Graph g = sample_graph();
+  ASSERT_TRUE(s.store_graph(key, g));
+  const fs::path file = only_artifact();
+  std::vector<char> bytes(fs::file_size(file));
+  std::ifstream(file, std::ios::binary)
+      .read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+
+  // Header: magic, version, kind, key, payload bytes (8+4+4+8+8), payload
+  // hash. Payload: n, m, out-offsets, out-targets, in-offsets, in-targets.
+  constexpr std::size_t kHashAt = 32;
+  constexpr std::size_t kPayloadAt = 40;
+  const auto reseal_and_write = [&] {
+    const std::uint64_t hash =
+        fnv1a(std::span<const char>(bytes).subspan(kPayloadAt));
+    std::memcpy(bytes.data() + kHashAt, &hash, sizeof(hash));
+    std::ofstream(file, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+  reseal_and_write();
+  ASSERT_TRUE(s.load_graph(key).has_value()) << "re-sealing alone is valid";
+
+  graph::VertexId v = 0;
+  while (v < g.num_vertices() &&
+         (g.out_degree(v) < 2 ||
+          g.out_neighbor(v, 0) == g.out_neighbor(v, g.out_degree(v) - 1)))
+    ++v;
+  ASSERT_LT(v, g.num_vertices());
+  const std::size_t targets_at = kPayloadAt + 2 * sizeof(std::uint64_t) +
+                                 (g.num_vertices() + 1) * sizeof(graph::EdgeId);
+  const auto first = static_cast<std::ptrdiff_t>(
+      targets_at + g.out_edge_index(v, 0) * sizeof(graph::VertexId));
+  const auto last = static_cast<std::ptrdiff_t>(
+      targets_at +
+      g.out_edge_index(v, g.out_degree(v) - 1) * sizeof(graph::VertexId));
+  std::swap_ranges(bytes.begin() + first,
+                   bytes.begin() + first + sizeof(graph::VertexId),
+                   bytes.begin() + last);
+  reseal_and_write();
+  EXPECT_FALSE(s.load_graph(key).has_value());
+  EXPECT_FALSE(fs::exists(file)) << "invalid entry must be removed";
 }
 
 TEST_F(ArtifactStoreTest, GarbageFileIsRejected) {

@@ -6,6 +6,10 @@
 #include <optional>
 #include <string>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 namespace bpart {
 namespace {
 
@@ -52,6 +56,30 @@ TEST_F(ThreadCountTest, RereadsEnvironmentEachCall) {
   EXPECT_EQ(thread_count(), 2u);
   setenv("BPART_THREADS", "5", 1);
   EXPECT_EQ(thread_count(), 5u);
+}
+
+TEST_F(ThreadCountTest, DefaultFollowsAffinityMask) {
+#ifdef __linux__
+  unsetenv("BPART_THREADS");
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &saved)) ++cpu;
+  ASSERT_LT(cpu, CPU_SETSIZE);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const unsigned pinned = thread_count();
+  setenv("BPART_THREADS", "3", 1);
+  const unsigned overridden = thread_count();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(overridden, 3u) << "BPART_THREADS still wins";
+#else
+  GTEST_SKIP() << "affinity masks are read on Linux only";
+#endif
 }
 
 class ExecThreadsTest : public ::testing::Test {
