@@ -161,8 +161,7 @@ def print_report(doc: dict, gantt_width: int) -> None:
         fail(f"schema {doc.get('schema')!r} != {TIMELINE_SCHEMA!r}")
     runs = doc.get("runs", [])
     print(f"timeline: {len(runs)} run(s), "
-          f"{len(doc.get('exec_workers', []))} exec worker(s), "
-          f"{len(doc.get('events', []))} event(s)")
+          f"{len(doc.get('exec_workers', []))} exec worker(s)")
     for run in runs:
         a = attribute_run(run)
         print(f"\nrun {a['id']}  {a['label']}  "
@@ -220,14 +219,6 @@ def print_report(doc: dict, gantt_width: int) -> None:
             print(f"  w{w['worker']}: {w['chunks']} chunks "
                   f"({w['steals']} stolen), busy {w['busy_seconds']:.4f}s, "
                   f"chunk avg {avg * 1e6:.1f}us / peak {peak * 1e6:.1f}us")
-    events = doc.get("events", [])
-    if events:
-        print("\nevents:")
-        for e in events:
-            args = ", ".join(f"{k}={v:g}"
-                             for k, v in sorted(e.get("args", {}).items()))
-            print(f"  {e['name']}: {e['duration_seconds']:.4f}s"
-                  f"{'  (' + args + ')' if args else ''}")
 
 
 # --------------------------------------------------------------------------
@@ -298,13 +289,6 @@ def phase_breakdown(doc: dict) -> dict:
             phases["comm"] += a["comm"]
             phases["barrier-wait"] += (a["wait"] + a["skew_wait"] +
                                        a["residual_wait"])
-        for e in doc.get("events", []):
-            name = e.get("name", "")
-            bucket = ("ingest" if "ingest" in name else
-                      "partition" if ("partition" in name or
-                                      name.startswith("dyn/")) else None)
-            if bucket:
-                phases[bucket] += e.get("duration_seconds", 0.0)
         return phases
     if schema in BENCH_SCHEMAS:
         for entry in doc.get("pipeline", []):

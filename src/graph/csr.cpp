@@ -7,7 +7,6 @@
 #include <string>
 
 #include "obs/trace.hpp"
-#include "util/check.hpp"
 #include "util/env.hpp"
 #include "util/thread_pool.hpp"
 
@@ -273,94 +272,6 @@ Graph Graph::from_csr(std::vector<EdgeId> out_offsets,
   g.out_targets_ = std::move(out_targets);
   g.in_offsets_ = std::move(in_offsets);
   g.in_targets_ = std::move(in_targets);
-  return g;
-}
-
-namespace {
-
-/// Shared by the out- and in-side of with_appended: widen `offsets` /
-/// `targets` from old_n to new_n vertices, splice the delta endpoints in,
-/// and re-sort only the runs the delta touched.
-void append_adjacency(std::span<const EdgeId> offsets,
-                      std::span<const VertexId> targets,
-                      std::span<const Edge> delta, VertexId old_n,
-                      VertexId new_n, bool reverse,
-                      std::vector<EdgeId>& new_offsets,
-                      std::vector<VertexId>& new_targets) {
-  std::vector<EdgeId> extra(static_cast<std::size_t>(new_n), 0);
-  for (const Edge& e : delta) ++extra[reverse ? e.dst : e.src];
-
-  new_offsets.assign(static_cast<std::size_t>(new_n) + 1, 0);
-  for (VertexId v = 0; v < new_n; ++v) {
-    const EdgeId base_deg =
-        v < old_n ? offsets[v + 1] - offsets[v] : EdgeId{0};
-    new_offsets[v + 1] = new_offsets[v] + base_deg + extra[v];
-  }
-  new_targets.resize(new_offsets.back());
-
-  std::vector<EdgeId> cursor(new_offsets.begin(), new_offsets.end() - 1);
-  for (VertexId v = 0; v < old_n; ++v) {
-    const EdgeId base_deg = offsets[v + 1] - offsets[v];
-    std::copy_n(targets.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-                base_deg,
-                new_targets.begin() +
-                    static_cast<std::ptrdiff_t>(cursor[v]));
-    cursor[v] += base_deg;
-  }
-  for (const Edge& e : delta) {
-    const VertexId key = reverse ? e.dst : e.src;
-    new_targets[cursor[key]++] = reverse ? e.src : e.dst;
-  }
-  // Base runs are already sorted, so restoring the sorted-adjacency
-  // invariant only needs the (typically tiny) delta tail sorted and merged
-  // into its run — re-sorting whole runs costs O(d log d) per run and
-  // dominates compaction when a spread-out delta touches most vertices.
-  // The merge walks backwards in place with `tail` as reused scratch.
-  std::vector<VertexId> tail;
-  for (VertexId v = 0; v < new_n; ++v) {
-    if (extra[v] == 0) continue;
-    const auto run = new_targets.begin() + static_cast<std::ptrdiff_t>(
-                                               new_offsets[v]);
-    const auto base_deg = static_cast<std::ptrdiff_t>(
-        v < old_n ? offsets[v + 1] - offsets[v] : EdgeId{0});
-    const auto run_len = static_cast<std::ptrdiff_t>(new_offsets[v + 1] -
-                                                     new_offsets[v]);
-    std::sort(run + base_deg, run + run_len);
-    if (base_deg == 0) continue;
-    tail.assign(run + base_deg, run + run_len);
-    std::ptrdiff_t a = base_deg - 1;
-    std::ptrdiff_t b = static_cast<std::ptrdiff_t>(tail.size()) - 1;
-    std::ptrdiff_t out = run_len - 1;
-    while (b >= 0) {
-      if (a >= 0 && run[a] > tail[b])
-        run[out--] = run[a--];
-      else
-        run[out--] = tail[b--];
-    }
-  }
-}
-
-}  // namespace
-
-Graph Graph::with_appended(std::span<const Edge> delta,
-                           VertexId num_vertices) const {
-  const VertexId old_n = this->num_vertices();
-  BPART_CHECK_MSG(num_vertices >= old_n,
-                  "with_appended cannot shrink: " << num_vertices << " < "
-                                                  << old_n);
-  for (const Edge& e : delta)
-    BPART_CHECK_MSG(e.src < num_vertices && e.dst < num_vertices,
-                    "delta edge (" << e.src << "," << e.dst
-                                   << ") out of range for n="
-                                   << num_vertices);
-  BPART_SPAN("ingest/csr_compact", "vertices",
-             static_cast<double>(num_vertices), "delta_edges",
-             static_cast<double>(delta.size()));
-  Graph g;
-  append_adjacency(out_offsets_, out_targets_, delta, old_n, num_vertices,
-                   /*reverse=*/false, g.out_offsets_, g.out_targets_);
-  append_adjacency(in_offsets_, in_targets_, delta, old_n, num_vertices,
-                   /*reverse=*/true, g.in_offsets_, g.in_targets_);
   return g;
 }
 

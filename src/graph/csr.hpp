@@ -40,16 +40,6 @@ class Graph {
                         std::vector<EdgeId> in_offsets,
                         std::vector<VertexId> in_targets);
 
-  /// Compaction primitive of the dynamic-graph tier (src/dyn/): a fresh
-  /// CSR holding this graph's edges plus `delta`, over `num_vertices`
-  /// total vertices (>= the current count; extra ids are the dynamically
-  /// arrived vertices). Delta endpoints must be < num_vertices (checked).
-  /// Equivalent to rebuilding from the concatenated edge list — adjacency
-  /// runs come out sorted — but reuses the existing runs instead of
-  /// re-scattering all m + |delta| edges.
-  [[nodiscard]] Graph with_appended(std::span<const Edge> delta,
-                                    VertexId num_vertices) const;
-
   Graph() = default;
 
   [[nodiscard]] VertexId num_vertices() const {

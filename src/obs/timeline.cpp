@@ -28,21 +28,12 @@ using timeline_detail::kTimelineUninit;
 /// counted and reported in the artifact.
 constexpr std::size_t kMaxRuns = 4096;
 constexpr std::size_t kMaxSuperstepsPerRun = std::size_t{1} << 16;
-constexpr std::size_t kMaxEvents = std::size_t{1} << 16;
 constexpr std::size_t kMaxWorkerSamples = 64;
-
-std::uint64_t now_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 struct TimelineState {
   std::mutex mu;
   TimelineData data;
   std::string path;
-  std::uint64_t epoch_ns = 0;
   std::uint64_t next_run_id = 1;
   std::uint64_t last_committed = 0;
   /// Runs begun but not yet committed: only their ids are live; begin
@@ -72,7 +63,6 @@ void enable(const std::string& path) {
   {
     std::lock_guard<std::mutex> lock(st.mu);
     st.path = expand_path_pattern(path);
-    if (st.epoch_ns == 0) st.epoch_ns = now_ns();
     if (!st.atexit_registered) {
       std::atexit(write_timeline_at_exit);
       st.atexit_registered = true;
@@ -261,26 +251,6 @@ void timeline_record_exec(std::uint32_t worker, std::uint64_t chunks,
   }
 }
 
-void timeline_event(
-    std::string name, double seconds,
-    std::initializer_list<std::pair<const char*, double>> args) {
-  if (!timeline_enabled()) return;
-  TimelineState& st = state();
-  std::lock_guard<std::mutex> lock(st.mu);
-  if (st.data.events.size() >= kMaxEvents) {
-    ++st.data.dropped_events;
-    return;
-  }
-  TimelineEvent ev;
-  ev.name = std::move(name);
-  ev.duration_seconds = seconds;
-  const double end =
-      static_cast<double>(now_ns() - st.epoch_ns) / 1e9;
-  ev.start_seconds = end > seconds ? end - seconds : 0.0;
-  for (const auto& [k, v] : args) ev.args.emplace_back(k, v);
-  st.data.events.push_back(std::move(ev));
-}
-
 // ---------------------------------------------------------------------------
 // Control & export.
 
@@ -359,21 +329,9 @@ std::string timeline_to_json(const TimelineData& data) {
     w.end_object();
   }
   w.end_array();
-  w.key("events").begin_array();
-  for (const TimelineEvent& ev : data.events) {
-    w.begin_object()
-        .kv("name", ev.name)
-        .kv("start_seconds", ev.start_seconds)
-        .kv("duration_seconds", ev.duration_seconds);
-    w.key("args");
-    write_args(w, ev.args);
-    w.end_object();
-  }
-  w.end_array();
   w.key("dropped")
       .begin_object()
       .kv("runs", data.dropped_runs)
-      .kv("events", data.dropped_events)
       .end_object();
   w.end_object();
   return w.str();

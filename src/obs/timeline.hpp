@@ -8,9 +8,8 @@
 // The dist runtime feeds it per-superstep rows (gating machine identified
 // in the barrier completion phase), the exec core contributes per-worker
 // chunk-duration reservoir samples and steal counts, the vcut mirror
-// engines tag their A/B phases and traffic directions, and the dynamic
-// partition service records maintenance events. obs/attrib.hpp turns the
-// recorded runs into a critical-path attribution; scripts/bpart_prof.py
+// engines tag their A/B phases and traffic directions. obs/attrib.hpp turns
+// the recorded runs into a critical-path attribution; scripts/bpart_prof.py
 // does the same offline on the exported artifact.
 //
 // Enablement mirrors the span tracer's discipline: set
@@ -23,7 +22,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -103,20 +101,10 @@ struct TimelineWorkerStats {
   std::vector<double> sample_seconds;
 };
 
-/// Point events outside the superstep structure (dyn maintenance passes).
-struct TimelineEvent {
-  std::string name;
-  double start_seconds = 0;  ///< Relative to the timeline epoch.
-  double duration_seconds = 0;
-  std::vector<std::pair<std::string, double>> args;
-};
-
 struct TimelineData {
   std::vector<TimelineRun> runs;
   std::vector<TimelineWorkerStats> workers;
-  std::vector<TimelineEvent> events;
   std::uint64_t dropped_runs = 0;
-  std::uint64_t dropped_events = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -171,11 +159,6 @@ void timeline_annotate_run(std::uint64_t run, const std::string& key,
 void timeline_record_exec(std::uint32_t worker, std::uint64_t chunks,
                           std::uint64_t steals, double busy_seconds,
                           const std::vector<double>& samples);
-
-/// Record a point event that just finished (duration `seconds` ending now).
-void timeline_event(
-    std::string name, double seconds,
-    std::initializer_list<std::pair<const char*, double>> args);
 
 // ---------------------------------------------------------------------------
 // Control & export.

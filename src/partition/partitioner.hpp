@@ -121,32 +121,4 @@ Partition greedy_stream_partition(const graph::Graph& g,
                                   std::span<const graph::VertexId> vertices,
                                   PartId k, const StreamConfig& cfg);
 
-/// Outcome of one budgeted_restream() round.
-struct RestreamBudgetResult {
-  std::uint64_t examined = 0;  ///< Candidates scored (assigned ones).
-  std::uint64_t eligible = 0;  ///< Candidates whose best move had gain > 0.
-  std::uint64_t moved = 0;     ///< Migrations committed (<= budget).
-};
-
-/// One budget-capped round of the prioritized restream (the dynamic
-/// maintenance entry point; DESIGN.md §11). Every candidate is re-scored
-/// concurrently against a frozen snapshot of the whole-partition Eq. 1
-/// weights — with its own contribution removed when scoring its current
-/// part, exactly like the offline refinement — and the positive-gain
-/// moves are ranked by gain (ties: lower vertex id) so only the
-/// `budget` highest-gain vertices migrate. Commits re-check capacity
-/// against exact state in rank order; a move the snapshot allowed but
-/// exact state forbids is skipped without consuming budget.
-///
-/// The scored gains are pure functions of the snapshot and the ranking is
-/// total, so the result is independent of cfg.threads — the worker count
-/// only changes wall-clock. Candidates outside [0, g.num_vertices()) or
-/// unassigned in `p` are ignored; duplicate candidates are scored once.
-/// `p` must carry >= 1 part and cover g. Callers wanting multiple rounds
-/// (fresh snapshot each time) loop; a round that returns moved == 0 is a
-/// fixed point under the current budget.
-RestreamBudgetResult budgeted_restream(
-    const graph::Graph& g, std::span<const graph::VertexId> candidates,
-    std::uint64_t budget, const StreamConfig& cfg, Partition& p);
-
 }  // namespace bpart::partition

@@ -22,7 +22,6 @@
 #include "partition/partitioner.hpp"
 #include "util/check.hpp"
 #include "util/env.hpp"
-#include "util/thread_pool.hpp"
 
 namespace bpart::partition {
 
@@ -514,168 +513,6 @@ Partition greedy_stream_partition(const graph::Graph& g,
     restream_refine(g, vertices, k, cal, refine, buffered ? batch : 1, ex,
                     in_subset, p, state);
   return p;
-}
-
-RestreamBudgetResult budgeted_restream(
-    const graph::Graph& g, std::span<const graph::VertexId> candidates,
-    std::uint64_t budget, const StreamConfig& cfg, Partition& p) {
-  const PartId k = p.num_parts();
-  BPART_CHECK(k >= 1);
-  BPART_CHECK(p.num_vertices() == g.num_vertices());
-  BPART_CHECK(cfg.balance_weight_c >= 0.0 && cfg.balance_weight_c <= 1.0);
-  BPART_CHECK(cfg.gamma > 1.0);
-
-  RestreamBudgetResult result;
-  if (candidates.empty() || budget == 0) return result;
-  BPART_SPAN("partition/restream_budget", "candidates",
-             static_cast<double>(candidates.size()), "budget",
-             static_cast<double>(budget));
-  obs::ScopedLatency pass_latency(obs::latency("partition.restream_budget"));
-
-  // Whole-partition totals: every assigned vertex participates in overlap
-  // counting and in the Eq. 1 weights (the service maintains a fully
-  // assigned table, but tolerate holes so the entry point stands alone).
-  std::vector<PartState> state(k);
-  std::uint64_t n_assigned = 0;
-  std::uint64_t m_assigned = 0;
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    const PartId part = p[v];
-    if (part == kUnassigned) continue;
-    ++state[part].vertices;
-    state[part].edges += g.out_degree(v);
-    ++n_assigned;
-    m_assigned += g.out_degree(v);
-  }
-  if (n_assigned == 0) return result;
-
-  Calibration cal;
-  cal.c = cfg.balance_weight_c;
-  cal.avg_degree = m_assigned == 0 ? 1.0
-                                   : static_cast<double>(m_assigned) /
-                                         static_cast<double>(n_assigned);
-  cal.gamma = cfg.gamma;
-  cal.alpha = cfg.alpha > 0.0
-                  ? cfg.alpha
-                  : cfg.alpha_scale * std::sqrt(static_cast<double>(k)) *
-                        static_cast<double>(m_assigned) /
-                        std::pow(static_cast<double>(n_assigned), 1.5);
-  cal.capacity = cfg.capacity_slack > 0.0
-                     ? cfg.capacity_slack * static_cast<double>(n_assigned) /
-                           static_cast<double>(k)
-                     : std::numeric_limits<double>::infinity();
-
-  // Deduplicate + validate the candidate set so a vertex cannot be ranked
-  // (or moved) twice in one round.
-  std::vector<graph::VertexId> verts(candidates.begin(), candidates.end());
-  std::sort(verts.begin(), verts.end());
-  verts.erase(std::unique(verts.begin(), verts.end()), verts.end());
-  std::erase_if(verts, [&](graph::VertexId v) {
-    return v >= g.num_vertices() || p[v] == kUnassigned;
-  });
-  if (verts.empty()) return result;
-  result.examined = verts.size();
-
-  // --- snapshot -----------------------------------------------------------
-  std::vector<double> snap_weight(k, 0.0);
-  std::vector<double> snap_penalty(k, 0.0);
-  PartId least_open = kUnassigned;
-  double least_open_weight = std::numeric_limits<double>::infinity();
-  for (PartId i = 0; i < k; ++i) {
-    const double w = cal.weight(state[i]);
-    snap_weight[i] = w;
-    snap_penalty[i] = cal.penalty(w, cal.alpha);
-    if (w < cal.capacity && w < least_open_weight) {
-      least_open_weight = w;
-      least_open = i;
-    }
-  }
-
-  // --- score: per-candidate best alternative + gain against the snapshot --
-  struct Move {
-    double gain = 0.0;
-    graph::VertexId vertex = 0;
-    PartId to = kUnassigned;
-  };
-  std::vector<Move> moves(verts.size());
-
-  auto score_chunk = [&](std::uint64_t lo, std::uint64_t hi) {
-    std::vector<std::uint32_t> overlap(k, 0);
-    std::vector<PartId> touched;
-    touched.reserve(64);
-    for (std::uint64_t idx = lo; idx < hi; ++idx) {
-      const graph::VertexId v = verts[idx];
-      const PartId old_part = p[v];
-      auto count_neighbor = [&](graph::VertexId u) {
-        if (u == v) return;
-        const PartId pu = p[u];
-        if (pu == kUnassigned) return;
-        if (overlap[pu]++ == 0) touched.push_back(pu);
-      };
-      for (graph::VertexId u : g.out_neighbors(v)) count_neighbor(u);
-      for (graph::VertexId u : g.in_neighbors(v)) count_neighbor(u);
-
-      // Staying put is the baseline, scored with v's own Eq. 1 contribution
-      // removed from the snapshot weight of its current part.
-      const double contrib =
-          cal.c + (1.0 - cal.c) * static_cast<double>(g.out_degree(v)) /
-                      cal.avg_degree;
-      const double old_w = std::max(snap_weight[old_part] - contrib, 0.0);
-      const double stay_score = static_cast<double>(overlap[old_part]) -
-                                cal.penalty(old_w, cal.alpha);
-      PartId best = old_part;
-      double best_score = stay_score;
-      if (least_open != kUnassigned && least_open != old_part) {
-        const double score = static_cast<double>(overlap[least_open]) -
-                             snap_penalty[least_open];
-        if (score > best_score) {
-          best_score = score;
-          best = least_open;
-        }
-      }
-      for (PartId t : touched) {
-        if (t != old_part && snap_weight[t] < cal.capacity) {
-          const double score =
-              static_cast<double>(overlap[t]) - snap_penalty[t];
-          if (score > best_score ||
-              (score == best_score && best != old_part && t < best)) {
-            best_score = score;
-            best = t;
-          }
-        }
-        overlap[t] = 0;
-      }
-      touched.clear();
-      moves[idx] = {best == old_part ? 0.0 : best_score - stay_score, v,
-                    best == old_part ? kUnassigned : best};
-    }
-  };
-  const unsigned workers = cfg.threads != 0 ? cfg.threads : thread_count();
-  parallel_for(0, verts.size(), verts.size() > 1024 ? workers : 1,
-               score_chunk);
-
-  // --- rank by gain, migrate the top `budget` against exact state ---------
-  std::erase_if(moves, [](const Move& m) {
-    return m.to == kUnassigned || m.gain <= 0.0;
-  });
-  result.eligible = moves.size();
-  std::sort(moves.begin(), moves.end(), [](const Move& a, const Move& b) {
-    return a.gain != b.gain ? a.gain > b.gain : a.vertex < b.vertex;
-  });
-
-  obs::Counter& moves_counter = obs::counter("partition.restream_budget_moves");
-  for (const Move& m : moves) {
-    if (result.moved >= budget) break;
-    const PartId old_part = p[m.vertex];
-    if (cal.weight(state[m.to]) >= cal.capacity) continue;  // exact re-check
-    --state[old_part].vertices;
-    state[old_part].edges -= g.out_degree(m.vertex);
-    p.assign(m.vertex, m.to);
-    ++state[m.to].vertices;
-    state[m.to].edges += g.out_degree(m.vertex);
-    ++result.moved;
-  }
-  moves_counter.add(result.moved);
-  return result;
 }
 
 }  // namespace bpart::partition

@@ -57,10 +57,10 @@ class CacheKey {
 /// Content revision of an in-memory graph: FNV-1a over the vertex/edge
 /// counts and both CSR target arrays. Two graphs share a revision iff
 /// their adjacency structure is identical, so folding this into a
-/// partition cache key pins the cached assignment to the *current* graph
-/// content — a delta-mutated or compacted graph can never hit a partition
-/// computed for an earlier shape. O(V + E) byte scan, which is noise next
-/// to any partitioner run it guards.
+/// partition cache key pins the cached assignment to the graph actually
+/// partitioned — a graph passed under another graph's key can never hit
+/// the partition computed for that key. O(V + E) byte scan, which is noise
+/// next to any partitioner run it guards.
 std::uint64_t graph_revision(const graph::Graph& g);
 
 class ArtifactStore {

@@ -20,8 +20,8 @@ constexpr const char* kGraphKeyVersion = "gv1";
 /// Bumped whenever any registry partitioner's default configuration
 /// changes, so stale assignments never masquerade as current ones.
 /// pv2: the key gained the graph-content revision (see graph_revision) so
-/// a delta-mutated graph can never hit a partition cached for an earlier
-/// shape of the same input.
+/// a graph that differs from the one `graph_key` names can never hit a
+/// partition cached for that key.
 constexpr const char* kPartitionKeyVersion = "pv2";
 
 std::string revision_hex(const graph::Graph& g) {
@@ -161,8 +161,8 @@ partition::Partition PipelineRunner::partition_graph(const graph::Graph& g,
                                                      const std::string& algo,
                                                      partition::PartId k) {
   // The base key identifies the *input* (file bytes / generator spec); the
-  // revision pins the in-memory graph actually being partitioned, which
-  // diverges from the input once dynamic deltas or compactions mutate it.
+  // revision pins the in-memory graph actually being partitioned, since a
+  // caller may pass any graph under any key.
   const CacheKey key = graph_key.derive(":algo=" + algo +
                                         ":k=" + std::to_string(k) +
                                         ":rev=" + revision_hex(g) + ":" +

@@ -1,7 +1,13 @@
 #include "util/env.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <string>
+#include <system_error>
 #include <thread>
 
 #include <unistd.h>
@@ -16,6 +22,9 @@ namespace bpart {
 
 namespace {
 
+/// Upper bound of the thread-count knobs.
+constexpr std::uint64_t kMaxThreads = 256;
+
 /// CPUs in the calling thread's affinity mask (what `nproc` prints), else
 /// std::thread::hardware_concurrency(), else 1.
 unsigned available_cpus() {
@@ -29,6 +38,34 @@ unsigned available_cpus() {
 #endif
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1u : hw;
+}
+
+/// The one parse path of the integer knobs (rule in env.hpp): unset gives
+/// `fallback`; junk, i.e. anything std::from_chars does not consume whole,
+/// or a value below `lo` warns and gives `fallback`; a value above `hi`
+/// warns and clamps to `hi`.
+std::uint64_t int_knob(const char* name, std::uint64_t fallback,
+                       std::uint64_t lo, std::uint64_t hi) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  const char* end = env + std::strlen(env);
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(env, end, v);
+  if (ptr != end || ec == std::errc::invalid_argument) {
+    LOG_WARN << name << " is not a number: \"" << env << "\", using "
+             << fallback;
+    return fallback;
+  }
+  if (ec == std::errc::result_out_of_range || v > hi) {
+    LOG_WARN << name << "=" << env << " clamped to " << hi;
+    return hi;
+  }
+  if (v < lo) {
+    LOG_WARN << name << " must be >= " << lo << ", got " << env << ", using "
+             << fallback;
+    return fallback;
+  }
+  return v;
 }
 
 }  // namespace
@@ -59,160 +96,44 @@ double dataset_scale() {
   static const double scale = [] {
     const char* env = std::getenv("BPART_SCALE");
     if (env == nullptr) return 1.0;
-    try {
-      const double s = std::stod(env);
-      if (s <= 0) {
-        LOG_WARN << "BPART_SCALE must be positive, got " << env;
-        return 1.0;
-      }
-      return s;
-    } catch (const std::exception&) {
-      LOG_WARN << "BPART_SCALE is not a number: " << env;
+    const char* end = env + std::strlen(env);
+    double s = 0;
+    const auto [ptr, ec] = std::from_chars(env, end, s);
+    if (ec != std::errc() || ptr != end || !std::isfinite(s) || s <= 0) {
+      LOG_WARN << "BPART_SCALE must be a positive number, got \"" << env
+               << "\", using 1";
       return 1.0;
     }
+    return s;
   }();
   return scale;
 }
 
 unsigned thread_count(unsigned requested) {
-  constexpr long kMaxThreads = 256;
-  unsigned n = 0;
-  if (const char* env = std::getenv("BPART_THREADS"); env != nullptr) {
-    try {
-      const long v = std::stol(env);
-      if (v >= 1) {
-        if (v > kMaxThreads)
-          LOG_WARN << "BPART_THREADS=" << v << " clamped to " << kMaxThreads;
-        n = static_cast<unsigned>(std::min(v, kMaxThreads));
-      } else {
-        LOG_WARN << "BPART_THREADS must be >= 1, got " << env;
-      }
-    } catch (const std::exception&) {
-      LOG_WARN << "BPART_THREADS is not a number: " << env;
-    }
-  }
-  if (n == 0) n = available_cpus();
+  auto n = static_cast<unsigned>(
+      int_knob("BPART_THREADS", available_cpus(), 1, kMaxThreads));
   if (requested != 0) n = std::min(n, requested);
   return n;
 }
 
 unsigned exec_threads() {
-  constexpr long kMaxThreads = 256;
-  const char* env = std::getenv("BPART_EXEC_THREADS");
-  if (env == nullptr) return 1;
-  try {
-    const long v = std::stol(env);
-    if (v < 1) {
-      LOG_WARN << "BPART_EXEC_THREADS must be >= 1, got " << env;
-      return 1;
-    }
-    if (v > kMaxThreads) {
-      LOG_WARN << "BPART_EXEC_THREADS=" << v << " clamped to " << kMaxThreads;
-      return static_cast<unsigned>(kMaxThreads);
-    }
-    return static_cast<unsigned>(v);
-  } catch (const std::exception&) {
-    LOG_WARN << "BPART_EXEC_THREADS is not a number: " << env;
-    return 1;
-  }
+  return static_cast<unsigned>(
+      int_knob("BPART_EXEC_THREADS", 1, 1, kMaxThreads));
 }
 
 std::uint32_t exec_chunk_edges() {
-  constexpr std::uint32_t kDefault = 4096;
-  constexpr long kMin = 64;
-  constexpr long kMax = 1L << 22;
-  const char* env = std::getenv("BPART_EXEC_CHUNK");
-  if (env == nullptr) return kDefault;
-  try {
-    const long v = std::stol(env);
-    if (v < kMin || v > kMax) {
-      LOG_WARN << "BPART_EXEC_CHUNK=" << env << " outside [" << kMin << ", "
-               << kMax << "], using " << kDefault;
-      return kDefault;
-    }
-    return static_cast<std::uint32_t>(v);
-  } catch (const std::exception&) {
-    LOG_WARN << "BPART_EXEC_CHUNK is not a number: " << env;
-    return kDefault;
-  }
-}
-
-std::uint64_t dyn_budget() {
-  constexpr std::uint64_t kDefault = 256;
-  constexpr long long kMax = 1LL << 32;
-  const char* env = std::getenv("BPART_DYN_BUDGET");
-  if (env == nullptr) return kDefault;
-  try {
-    const long long v = std::stoll(env);
-    if (v < 0) {
-      LOG_WARN << "BPART_DYN_BUDGET must be >= 0, got " << env;
-      return kDefault;
-    }
-    if (v > kMax) {
-      LOG_WARN << "BPART_DYN_BUDGET=" << v << " clamped to " << kMax;
-      return static_cast<std::uint64_t>(kMax);
-    }
-    return static_cast<std::uint64_t>(v);
-  } catch (const std::exception&) {
-    LOG_WARN << "BPART_DYN_BUDGET is not a number: " << env;
-    return kDefault;
-  }
-}
-
-std::uint32_t dyn_batch() {
-  constexpr std::uint32_t kDefault = 4096;
-  constexpr long kMax = 1L << 24;
-  const char* env = std::getenv("BPART_DYN_BATCH");
-  if (env == nullptr) return kDefault;
-  try {
-    const long v = std::stol(env);
-    if (v < 1 || v > kMax) {
-      LOG_WARN << "BPART_DYN_BATCH=" << env << " outside [1, " << kMax
-               << "], using " << kDefault;
-      return kDefault;
-    }
-    return static_cast<std::uint32_t>(v);
-  } catch (const std::exception&) {
-    LOG_WARN << "BPART_DYN_BATCH is not a number: " << env;
-    return kDefault;
-  }
+  return static_cast<std::uint32_t>(
+      int_knob("BPART_EXEC_CHUNK", 4096, 64, std::uint64_t{1} << 22));
 }
 
 std::uint64_t global_seed() {
-  constexpr std::uint64_t kDefault = 17;
-  const char* env = std::getenv("BPART_SEED");
-  if (env == nullptr) return kDefault;
-  // std::stoull silently wraps negative inputs to huge unsigned values;
-  // reject them up front like every other knob here.
-  if (std::string(env).find('-') != std::string::npos) {
-    LOG_WARN << "BPART_SEED must be >= 0, got " << env;
-    return kDefault;
-  }
-  try {
-    return static_cast<std::uint64_t>(std::stoull(env));
-  } catch (const std::exception&) {
-    LOG_WARN << "BPART_SEED is not a number: " << env;
-    return kDefault;
-  }
+  return int_knob("BPART_SEED", 17, 0,
+                  std::numeric_limits<std::uint64_t>::max());
 }
 
 std::uint32_t vcut_batch() {
-  constexpr std::uint32_t kDefault = 4096;
-  constexpr long kMax = 1L << 24;
-  const char* env = std::getenv("BPART_VCUT_BATCH");
-  if (env == nullptr) return kDefault;
-  try {
-    const long v = std::stol(env);
-    if (v < 1 || v > kMax) {
-      LOG_WARN << "BPART_VCUT_BATCH=" << env << " outside [1, " << kMax
-               << "], using " << kDefault;
-      return kDefault;
-    }
-    return static_cast<std::uint32_t>(v);
-  } catch (const std::exception&) {
-    LOG_WARN << "BPART_VCUT_BATCH is not a number: " << env;
-    return kDefault;
-  }
+  return static_cast<std::uint32_t>(
+      int_knob("BPART_VCUT_BATCH", 4096, 1, std::uint64_t{1} << 24));
 }
 
 bool pin_threads() {
@@ -245,24 +166,8 @@ const char* reorder_mode_name(ReorderMode mode) {
 }
 
 std::uint32_t stream_batch_size() {
-  constexpr long kMaxBatch = 1L << 24;
-  const char* env = std::getenv("BPART_STREAM_BATCH");
-  if (env == nullptr) return 0;
-  try {
-    const long v = std::stol(env);
-    if (v < 0) {
-      LOG_WARN << "BPART_STREAM_BATCH must be >= 0, got " << env;
-      return 0;
-    }
-    if (v > kMaxBatch) {
-      LOG_WARN << "BPART_STREAM_BATCH=" << v << " clamped to " << kMaxBatch;
-      return static_cast<std::uint32_t>(kMaxBatch);
-    }
-    return static_cast<std::uint32_t>(v);
-  } catch (const std::exception&) {
-    LOG_WARN << "BPART_STREAM_BATCH is not a number: " << env;
-    return 0;
-  }
+  return static_cast<std::uint32_t>(
+      int_knob("BPART_STREAM_BATCH", 0, 0, std::uint64_t{1} << 24));
 }
 
 }  // namespace bpart

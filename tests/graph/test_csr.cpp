@@ -176,36 +176,6 @@ TEST(GraphBuild, LargeGraphMatchesReference) {
   expect_builds_match_reference(el, "community_scale_free");
 }
 
-TEST(GraphBuild, WithAppendedMatchesRebuild) {
-  // Parallel and repeated edges, self-loops, new ids (12..15, 15 left
-  // isolated), and an empty base.
-  const EdgeList base = testing::edge_case_list();
-  const std::vector<Edge> delta{{0, 1}, {0, 0},  {11, 3}, {3, 11}, {12, 5},
-                                {14, 14}, {5, 12}, {2, 9}, {9, 2},  {0, 1}};
-  EdgeList all = base;
-  for (const Edge& e : delta) all.add(e.src, e.dst);
-  all.set_num_vertices(16);
-  testing::expect_identical(Graph::from_edges(base).with_appended(delta, 16),
-                            testing::reference_from_edges(all),
-                            "edge cases");
-  EdgeList only_delta(16);
-  for (const Edge& e : delta) only_delta.add(e.src, e.dst);
-  testing::expect_identical(Graph().with_appended(delta, 16),
-                            testing::reference_from_edges(only_delta),
-                            "empty base");
-
-  // A delta of 10% of a generated list touches most runs.
-  const EdgeList& large = testing::large_list();
-  const std::size_t split = large.size() / 10 * 9;
-  EdgeList head(large.num_vertices());
-  for (std::size_t i = 0; i < split; ++i) head.add(large[i].src, large[i].dst);
-  head.set_num_vertices(large.num_vertices());
-  testing::expect_identical(
-      Graph::from_edges(head).with_appended(large.edges().subspan(split),
-                                            large.num_vertices()),
-      testing::reference_from_edges(large), "community_scale_free");
-}
-
 TEST(Graph, OutDegreesVector) {
   const Graph g = Graph::from_edges(triangle_plus_tail());
   const auto deg = g.out_degrees();

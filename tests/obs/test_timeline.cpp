@@ -60,7 +60,6 @@ TEST(Timeline, OffByDefaultEveryEntryPointIsANoOp) {
   EXPECT_EQ(timeline_begin_run(4), 0u);
   EXPECT_EQ(timeline_last_run(), 0u);
   timeline_record_exec(0, 100, 3, 1.0, {0.1, 0.2});
-  timeline_event("test/off", 0.5, {{"k", 1.0}});
   {
     ScopedTimelineLabel label("test/off-label");
   }
@@ -68,7 +67,6 @@ TEST(Timeline, OffByDefaultEveryEntryPointIsANoOp) {
   const TimelineData data = timeline_snapshot();
   EXPECT_TRUE(data.runs.empty());
   EXPECT_TRUE(data.workers.empty());
-  EXPECT_TRUE(data.events.empty());
   EXPECT_EQ(timeline_flush(), "");
 }
 
@@ -213,7 +211,6 @@ TEST(Timeline, ConcurrentRecordingIsSafe) {
                             kMachineWorker);
         timeline_record_exec(static_cast<std::uint32_t>(t), 4, 1, 0.001,
                              {0.0005});
-        timeline_event("test/evt", 0.001, {{"thread", double(t)}});
         committed.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -225,8 +222,6 @@ TEST(Timeline, ConcurrentRecordingIsSafe) {
   EXPECT_EQ(data.runs.size(),
             static_cast<std::size_t>(kThreads * kRunsPerThread));
   EXPECT_EQ(data.workers.size(), static_cast<std::size_t>(kThreads));
-  EXPECT_EQ(data.events.size(),
-            static_cast<std::size_t>(kThreads * kRunsPerThread));
   for (const TimelineRun& r : data.runs) {
     EXPECT_EQ(r.supersteps.size(), 2u);
     EXPECT_NE(r.label.find("test/concurrent-"), std::string::npos);

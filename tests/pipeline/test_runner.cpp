@@ -167,25 +167,31 @@ TEST_F(RunnerTest, SymmetrizeModeMatchesLegacySymmetricBuild) {
   EXPECT_TRUE(std::ranges::equal(g.out_targets(), legacy.out_targets()));
 }
 
-TEST_F(RunnerTest, AppendedEdgesInvalidatePartitionCache) {
+TEST_F(RunnerTest, DifferentGraphUnderSameKeyMissesPartitionCache) {
   // Regression: the partition key used to hash only the input file + algo +
-  // k, so a graph mutated in memory (delta compaction) under the same base
-  // key served the stale pre-mutation partition. The key now folds in
+  // k, so partition_graph() served the file's cached partition for any
+  // graph passed under that file's key. The key now folds in
   // graph_revision(), a content hash of the CSR itself.
   PipelineRunner runner(config());
   const auto first = runner.run_file(input_, "fennel", 4);
   ASSERT_FALSE(runner.report().partition_cache_hit);
 
-  const graph::Edge extra[] = {{0, 1}, {1, 0}};
-  const graph::Graph grown = first.graph.with_appended(
-      extra, first.graph.num_vertices());
+  // The first graph's edges plus {0->1, 1->0}.
+  graph::EdgeList edges(first.graph.num_vertices());
+  for (graph::VertexId v = 0; v < first.graph.num_vertices(); ++v)
+    for (const graph::VertexId u : first.graph.out_neighbors(v))
+      edges.add(v, u);
+  edges.add(0, 1);
+  edges.add(1, 0);
+  const graph::Graph grown = graph::Graph::from_edges(edges);
+  ASSERT_EQ(grown.num_edges(), first.graph.num_edges() + 2);
   ASSERT_NE(graph_revision(grown), graph_revision(first.graph));
 
   PipelineRunner after(config());
   const partition::Partition p =
       after.partition_graph(grown, after.graph_key(input_), "fennel", 4);
   EXPECT_FALSE(after.report().partition_cache_hit)
-      << "mutated graph must not reuse the base graph's cached partition";
+      << "another graph must not reuse the file graph's cached partition";
   EXPECT_EQ(p.num_vertices(), grown.num_vertices());
 
   // The unmodified graph still hits its own entry.

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
+#include <vector>
 
 #ifdef __linux__
 #include <sched.h>
@@ -135,6 +137,81 @@ TEST_F(GlobalSeedTest, JunkFallsThroughToDefault) {
   const std::uint64_t def = global_seed();
   setenv("BPART_SEED", "pepper", 1);
   EXPECT_EQ(global_seed(), def);
+}
+
+/// Clears the numeric knobs for each case and restores them afterwards, so
+/// a case may set any of them.
+class EnvKnobs : public ::testing::Test {
+ protected:
+  static constexpr const char* kKnobs[] = {
+      "BPART_THREADS",    "BPART_EXEC_THREADS", "BPART_EXEC_CHUNK",
+      "BPART_VCUT_BATCH", "BPART_STREAM_BATCH", "BPART_SEED",
+      "BPART_SCALE"};
+
+  void SetUp() override {
+    for (const char* knob : kKnobs) {
+      const char* env = std::getenv(knob);
+      saved_.push_back(env != nullptr ? std::optional<std::string>(env)
+                                      : std::nullopt);
+      unsetenv(knob);
+    }
+  }
+  void TearDown() override {
+    for (std::size_t i = 0; i < saved_.size(); ++i) {
+      if (saved_[i]) {
+        setenv(kKnobs[i], saved_[i]->c_str(), 1);
+      } else {
+        unsetenv(kKnobs[i]);
+      }
+    }
+  }
+
+ private:
+  std::vector<std::optional<std::string>> saved_;
+};
+
+TEST_F(EnvKnobs, JunkSuffixFallsThroughToDefault) {
+  // A prefix parse would read each of these as its leading number.
+  const unsigned cpus = thread_count();
+  const std::string threads = std::to_string(cpus % 256 + 1) + "x";
+  setenv("BPART_THREADS", threads.c_str(), 1);
+  EXPECT_EQ(thread_count(), cpus) << threads;
+
+  setenv("BPART_EXEC_THREADS", "2x", 1);
+  EXPECT_EQ(exec_threads(), 1u);
+
+  setenv("BPART_EXEC_CHUNK", "128k", 1);
+  EXPECT_EQ(exec_chunk_edges(), 4096u);
+
+  setenv("BPART_VCUT_BATCH", "1e6", 1);
+  EXPECT_EQ(vcut_batch(), 4096u);
+
+  for (const char* junk : {"64 ", " 64", "+64", "0x40"}) {
+    setenv("BPART_STREAM_BATCH", junk, 1);
+    EXPECT_EQ(stream_batch_size(), 0u) << '"' << junk << '"';
+  }
+
+  setenv("BPART_SEED", "12x", 1);
+  EXPECT_EQ(global_seed(), 17u);
+
+  // dataset_scale() keeps its first read; no other case in this binary
+  // calls it.
+  setenv("BPART_SCALE", "0.5x", 1);
+  EXPECT_EQ(dataset_scale(), 1.0);
+}
+
+TEST_F(EnvKnobs, AboveMaximumClamps) {
+  setenv("BPART_EXEC_CHUNK", "99999999", 1);
+  EXPECT_EQ(exec_chunk_edges(), 1u << 22);
+  setenv("BPART_VCUT_BATCH", "99999999", 1);
+  EXPECT_EQ(vcut_batch(), 1u << 24);
+  setenv("BPART_STREAM_BATCH", "99999999", 1);
+  EXPECT_EQ(stream_batch_size(), 1u << 24);
+  // Past uint64 is still a whole number, so it clamps too.
+  setenv("BPART_EXEC_THREADS", "99999999999999999999999", 1);
+  EXPECT_EQ(exec_threads(), 256u);
+  setenv("BPART_SEED", "99999999999999999999999", 1);
+  EXPECT_EQ(global_seed(), std::numeric_limits<std::uint64_t>::max());
 }
 
 }  // namespace
