@@ -2,12 +2,15 @@
 
 #include <cstdio>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "engine/components.hpp"
 #include "engine/pagerank.hpp"
 #include "partition/registry.hpp"
+#include "pipeline/runner.hpp"
 #include "util/env.hpp"
+#include "util/logging.hpp"
 #include "util/timer.hpp"
 #include "walk/apps.hpp"
 
@@ -22,6 +25,17 @@ std::vector<std::string> split_csv(const std::string& csv) {
     if (!item.empty()) out.push_back(item);
   return out;
 }
+
+/// The whole numbers of a comma list, or nullopt when any entry is junk.
+std::optional<std::vector<unsigned>> parse_uint_list(const std::string& csv) {
+  std::vector<unsigned> out;
+  for (const auto& tok : split_csv(csv)) {
+    unsigned v = 0;
+    if (parse_whole(tok, v) != std::errc()) return std::nullopt;
+    out.push_back(v);
+  }
+  return out;
+}
 }  // namespace
 
 std::vector<std::string> graphs_from(const Options& opts) {
@@ -31,10 +45,11 @@ std::vector<std::string> graphs_from(const Options& opts) {
 std::vector<unsigned> uint_list_from(const Options& opts,
                                      const std::string& key,
                                      const std::string& fallback) {
-  std::vector<unsigned> out;
-  for (const auto& tok : split_csv(opts.get(key, fallback)))
-    out.push_back(static_cast<unsigned>(std::stoul(tok)));
-  return out;
+  const std::string list = opts.get(key, fallback);
+  if (auto out = parse_uint_list(list)) return *out;
+  LOG_WARN << "option --" << key << "=" << list
+           << " is not a list of numbers; using " << fallback;
+  return parse_uint_list(fallback).value();
 }
 
 pipeline::CacheKey dataset_cache_key(const std::string& name) {
@@ -84,30 +99,9 @@ partition::Partition run_partitioner(const graph::Graph& g,
 partition::Partition run_partitioner_cached(const std::string& graph_name,
                                             const graph::Graph& g,
                                             const std::string& algo,
-                                            partition::PartId k,
-                                            double* seconds, bool* cache_hit) {
-  Timer t;
-  const bool caching = pipeline::ArtifactStore::enabled();
-  const pipeline::ArtifactStore store;
-  const pipeline::CacheKey key = dataset_cache_key(graph_name)
-                                     .derive(":algo=" + algo +
-                                             ":k=" + std::to_string(k) +
-                                             ":pv1");
-  if (caching) {
-    if (auto cached = store.load_partition(key)) {
-      if (cached->num_vertices() == g.num_vertices() &&
-          cached->num_parts() == k) {
-        if (seconds != nullptr) *seconds = t.seconds();
-        if (cache_hit != nullptr) *cache_hit = true;
-        return std::move(*cached);
-      }
-    }
-  }
-  partition::Partition p = partition::create(algo)->partition(g, k);
-  if (seconds != nullptr) *seconds = t.seconds();
-  if (cache_hit != nullptr) *cache_hit = false;
-  if (caching) store.store_partition(key, p);
-  return p;
+                                            partition::PartId k) {
+  return pipeline::PipelineRunner().partition_graph(
+      g, dataset_cache_key(graph_name), algo, k);
 }
 
 const std::vector<std::string>& paper_applications() {

@@ -23,7 +23,8 @@ obs::BenchReport& report();
 /// Parse --graphs=a,b,c (default: all three paper datasets).
 std::vector<std::string> graphs_from(const Options& opts);
 
-/// Parse --parts=4,8,16 style lists.
+/// Parse --parts=4,8,16 style lists. An entry that is not a whole number
+/// ("8x", "x") warns and gives the fallback list.
 std::vector<unsigned> uint_list_from(const Options& opts,
                                      const std::string& key,
                                      const std::string& fallback);
@@ -44,15 +45,13 @@ partition::Partition run_partitioner(const graph::Graph& g,
                                      double* seconds = nullptr);
 
 /// Cached variant for benches that measure *downstream* work (walk/engine
-/// apps) rather than partitioning itself: a warm artifact store serves the
-/// stored assignment. *seconds reports partitioner wall-clock on a miss and
-/// artifact-load time on a hit; *cache_hit says which one happened.
+/// apps) rather than partitioning itself: PipelineRunner::partition_graph
+/// under dataset_cache_key(graph_name), so a warm artifact store serves
+/// the stored assignment.
 partition::Partition run_partitioner_cached(const std::string& graph_name,
                                             const graph::Graph& g,
                                             const std::string& algo,
-                                            partition::PartId k,
-                                            double* seconds = nullptr,
-                                            bool* cache_hit = nullptr);
+                                            partition::PartId k);
 
 /// Print the table under a header line and drop a CSV alongside
 /// (bench_out/<csv_name>.csv unless $BPART_OUT_DIR overrides).

@@ -53,7 +53,7 @@ engine::ComponentsResult connected_components(const graph::Graph& g,
 
   const DistGraph dg(g, parts, opts.threads);
   const unsigned exec_threads = opts.exec.resolved_threads();
-  const std::uint32_t chunk_edges = opts.exec.resolved_chunk_edges();
+  const std::uint32_t chunk_edges = opts.exec.chunk_edges;
   std::vector<CcMachine> state(machines);
   for (MachineId m = 0; m < machines; ++m) {
     const partition::Subgraph& sub = dg.subgraph(m);
@@ -149,7 +149,7 @@ engine::ComponentsResult connected_components(const graph::Graph& g,
         const FrontierMode scan_mode = mode.load(std::memory_order_relaxed);
         const std::size_t domain =
             static_cast<std::size_t>(num_local) + sub.num_ghosts;
-        me.shards.reset(*me.ex, domain);
+        me.shards.reset(me.ex->threads(), domain);
         // Frozen closed-neighborhood minimum of u, offered to every
         // neighbor (and u itself) through the min-shards.
         auto scan_vertex = [&](unsigned w, graph::VertexId u) {

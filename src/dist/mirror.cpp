@@ -59,7 +59,7 @@ engine::PageRankResult mirror_pagerank(const vcut::MirrorGraph& mg,
       st.gather_work += sh.local.in_degree(r);
     st.ex = std::make_unique<exec::Executor>(exec_threads);
     st.in_plan = exec::ChunkScheduler::over_range(
-        sh.local.in_offsets(), 0, nr, opts.exec.resolved_chunk_edges());
+        sh.local.in_offsets(), 0, nr, opts.exec.chunk_edges);
   }
 
   // Fresh shares + dangling mass out of the masters; runs at superstep 0

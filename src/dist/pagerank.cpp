@@ -64,12 +64,11 @@ engine::PageRankResult pagerank(const graph::Graph& g,
 
   const unsigned exec_threads = opts.exec.resolved_threads();
   // All per-machine state — rank/acc/share vectors, ghost slots, exec
-  // plans, boundary lists — is allocated and first written inside the
-  // runtime's init_machine hook, i.e. on the worker thread that owns the
-  // machine for the whole run, so a NUMA first-touch policy places each
-  // machine's pages next to its driver. The values written are
-  // thread-independent; only placement moves.
-  const std::uint32_t chunk_edges = opts.exec.resolved_chunk_edges();
+  // plans, boundary lists — is built inside the runtime's init_machine
+  // hook, i.e. on the worker thread that owns the machine for the whole
+  // run, so the machines set up in parallel. The values written are
+  // thread-independent.
+  const std::uint32_t chunk_edges = opts.exec.chunk_edges;
   auto init_machine = [&](MachineId m) {
     const partition::Subgraph& sub = dg.subgraph(m);
     PrMachine& me = state[m];

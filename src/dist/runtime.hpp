@@ -35,7 +35,6 @@
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/env.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace bpart::dist {
@@ -77,12 +76,12 @@ struct RuntimeConfig {
   /// count of completed supersteps), all machine threads parked: the safe
   /// place for global decisions (frontier mode, convergence checks).
   std::function<void(std::size_t)> on_barrier;
-  /// First-touch placement hook: runs once per machine, on the worker
+  /// Parallel per-machine set-up: runs once per machine, on the worker
   /// thread that will drive that machine through every superstep, before
-  /// superstep 0. Applications allocate and initialize per-machine state
-  /// (shard vectors, ghost buffers) here so a NUMA first-touch policy
-  /// places the pages on the worker's node. Optional; the result must not
-  /// depend on which thread runs it — only placement may.
+  /// superstep 0, so the machines' state is built concurrently instead of
+  /// on the caller. Dist PageRank and the dist walk build their per-machine
+  /// vectors, plans and executors here. Optional; the result must not
+  /// depend on which thread runs it.
   std::function<void(MachineId)> init_machine;
 };
 
@@ -257,16 +256,14 @@ class Runtime {
     std::barrier barrier(static_cast<std::ptrdiff_t>(workers), on_sync);
     std::latch init_gate(static_cast<std::ptrdiff_t>(workers));
 
-    const bool pin = pin_threads();
     auto worker = [&](unsigned t) {
-      if (pin) pin_this_thread(t);
       const MachineId lo = range_begin(t);
       const MachineId hi = range_begin(t + 1);
-      // First-touch pass: each worker initializes exactly the machines it
-      // will drive, before any superstep runs anywhere. Synchronized on
-      // its own latch (not the superstep barrier, whose completion phase
-      // would count a phantom superstep), which also orders the state
-      // writes before any cross-thread reads.
+      // Set-up pass: each worker initializes exactly the machines it will
+      // drive, before any superstep runs anywhere. Synchronized on its own
+      // latch (not the superstep barrier, whose completion phase would
+      // count a phantom superstep), which also orders the state writes
+      // before any cross-thread reads.
       if (cfg.init_machine) {
         for (MachineId m = lo; m < hi; ++m) cfg.init_machine(m);
         init_gate.arrive_and_wait();

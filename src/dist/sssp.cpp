@@ -62,8 +62,6 @@ engine::SsspResult sssp(const graph::Graph& g,
     state[src_owner].in_frontier[l] = 1;
   }
 
-  const std::uint32_t chunk_edges = opts.exec.resolved_chunk_edges();
-
   RuntimeConfig rcfg;
   rcfg.threads = opts.threads;
   rcfg.max_supersteps = max_supersteps;
@@ -90,14 +88,14 @@ engine::SsspResult sssp(const graph::Graph& g,
 
         const std::size_t domain =
             static_cast<std::size_t>(num_local) + sub.num_ghosts;
-        me.shards.reset(*me.ex, domain);
+        me.shards.reset(me.ex->threads(), domain);
         std::uint64_t scan_work = 0;
         for (graph::VertexId u : me.frontier)
           scan_work += sub.local.out_degree(u) + 1;
         const auto plan = exec::ChunkScheduler::over_list(
             me.frontier.size(),
             [&](std::size_t i) { return sub.local.out_degree(me.frontier[i]); },
-            chunk_edges);
+            opts.exec.chunk_edges);
         me.ex->run(plan, [&](unsigned w, std::uint32_t, std::uint32_t lo,
                              std::uint32_t hi) {
           for (std::uint32_t i = lo; i < hi; ++i) {

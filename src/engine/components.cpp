@@ -29,7 +29,6 @@ ComponentsResult connected_components(const graph::Graph& g,
   exec::Frontier next(n);
   for (graph::VertexId v = 0; v < n; ++v) frontier.add(v);
 
-  const std::uint32_t chunk_edges = exec_cfg.resolved_chunk_edges();
   exec::Executor ex(exec_cfg.resolved_threads());
   exec::ScatterShards<graph::VertexId> shards;
   WorkerTallies tallies(ex.threads(), ctx.num_machines());
@@ -49,8 +48,8 @@ ComponentsResult connected_components(const graph::Graph& g,
         [&](std::size_t i) {
           return g.out_degree(list[i]) + g.in_degree(list[i]);
         },
-        chunk_edges);
-    shards.reset(ex, n);
+        exec_cfg.chunk_edges);
+    shards.reset(ex.threads(), n);
     exec::process_edges_push(
         ex, plan, frontier, [&](unsigned w, graph::VertexId v) {
           const cluster::MachineId owner = ctx.machine_of(v);

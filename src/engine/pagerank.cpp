@@ -23,7 +23,7 @@ PageRankResult pagerank(const graph::Graph& g,
   DistContext ctx(g, parts, model);
   const graph::VertexId n = g.num_vertices();
   const double inv_n = n > 0 ? 1.0 / static_cast<double>(n) : 0.0;
-  const std::uint32_t chunk_edges = cfg.exec.resolved_chunk_edges();
+  const std::uint32_t chunk_edges = cfg.exec.chunk_edges;
 
   exec::Executor ex(cfg.exec.resolved_threads());
   const auto out_plan =

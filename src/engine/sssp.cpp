@@ -29,7 +29,6 @@ SsspResult sssp(const graph::Graph& g, const partition::Partition& parts,
   BPART_CHECK(cfg.max_weight >= 1);
   DistContext ctx(g, parts, model);
   const graph::VertexId n = g.num_vertices();
-  const std::uint32_t chunk_edges = cfg.exec.resolved_chunk_edges();
 
   SsspResult result;
   result.distance.assign(n, SsspResult::kUnreachable);
@@ -48,8 +47,8 @@ SsspResult sssp(const graph::Graph& g, const partition::Partition& parts,
     const std::span<const graph::VertexId> list = frontier.active();
     const auto plan = exec::ChunkScheduler::over_list(
         list.size(), [&](std::size_t i) { return g.out_degree(list[i]); },
-        chunk_edges);
-    shards.reset(ex, n);
+        cfg.exec.chunk_edges);
+    shards.reset(ex.threads(), n);
     exec::process_edges_push(
         ex, plan, frontier, [&](unsigned w, graph::VertexId v) {
           const cluster::MachineId owner = ctx.machine_of(v);

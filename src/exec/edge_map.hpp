@@ -51,36 +51,6 @@ class ScatterShards {
     }
   }
 
-  /// First-touch variant of reset(): when a shard must (re)allocate, the
-  /// allocation and initial page-in run on that shard's own worker thread
-  /// via Executor::for_each_worker, so under a NUMA first-touch policy the
-  /// pages land near the worker that scatters into them. The steady state
-  /// (allocations already sized, called every superstep) clears touched
-  /// slots on the caller exactly like reset(workers, domain) — no
-  /// cross-thread sync. Shard contents are identical either way; only
-  /// placement differs.
-  void reset(Executor& ex, std::size_t domain) {
-    shards_.resize(ex.threads());
-    bool realloc_needed = false;
-    for (const Shard& s : shards_)
-      if (s.value.size() != domain) realloc_needed = true;
-    if (!realloc_needed) {
-      reset(ex.threads(), domain);
-      return;
-    }
-    domain_ = domain;
-    ex.for_each_worker([this, domain](unsigned w) {
-      Shard& s = shards_[w];
-      if (s.value.size() != domain) {
-        s.value.assign(domain, T{});
-        s.seen.assign(domain, 0);
-      } else {
-        for (const std::uint32_t i : s.touched) s.seen[i] = 0;
-      }
-      s.touched.clear();
-    });
-  }
-
   /// Min-combine `v` into worker w's slot i.
   void combine_min(unsigned w, std::size_t i, T v) {
     Shard& s = shards_[w];

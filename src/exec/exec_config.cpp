@@ -9,9 +9,4 @@ unsigned ExecConfig::resolved_threads() const {
   return bpart::exec_threads();
 }
 
-std::uint32_t ExecConfig::resolved_chunk_edges() const {
-  if (chunk_edges != 0) return chunk_edges;
-  return bpart::exec_chunk_edges();
-}
-
 }  // namespace bpart::exec

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <exception>
 #include <future>
-#include <latch>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -120,36 +119,6 @@ class Executor {
   Executor& operator=(const Executor&) = delete;
 
   [[nodiscard]] unsigned threads() const { return threads_; }
-
-  /// Run init(w) once for every worker slot w in [0, threads()), each on a
-  /// distinct executor thread (w = 0 on the caller). This is the
-  /// first-touch placement hook: per-worker state a later run() will write
-  /// is allocated and paged by a thread of the pool that will do the
-  /// writing, so a NUMA first-touch policy places the pages near the
-  /// workers. A latch parks every pool thread until all have claimed a
-  /// slot, which guarantees the slots land on distinct OS threads; the
-  /// worker→thread mapping of subsequent run() calls is the pool's normal
-  /// task pickup, so the placement is best-effort locality, not a pin
-  /// (combine with BPART_PIN=1 to keep pool threads on fixed cores).
-  template <typename Fn>
-  void for_each_worker(Fn&& init) {
-    if (threads_ <= 1 || pool_ == nullptr) {
-      init(0u);
-      return;
-    }
-    std::atomic<unsigned> next{1};
-    std::latch gate(static_cast<std::ptrdiff_t>(threads_ - 1));
-    std::vector<std::future<void>> pending;
-    pending.reserve(threads_ - 1);
-    for (unsigned i = 1; i < threads_; ++i)
-      pending.push_back(pool_->submit([&next, &gate, &init] {
-        const unsigned w = next.fetch_add(1, std::memory_order_relaxed);
-        gate.arrive_and_wait();
-        init(w);
-      }));
-    init(0u);
-    for (auto& f : pending) f.get();
-  }
 
   /// Run fn(worker, chunk_index, lo, hi) for every chunk of `plan` exactly
   /// once. Chunks are assigned as contiguous per-worker shares; a drained

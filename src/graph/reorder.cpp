@@ -7,6 +7,20 @@
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
+namespace bpart {
+
+const char* reorder_mode_name(ReorderMode mode) {
+  switch (mode) {
+    case ReorderMode::kDegree: return "degree";
+    case ReorderMode::kBfs: return "bfs";
+    case ReorderMode::kRandom: return "random";
+    case ReorderMode::kNone: break;
+  }
+  return "none";
+}
+
+}  // namespace bpart
+
 namespace bpart::graph {
 
 bool is_permutation(const std::vector<VertexId>& perm) {

@@ -7,10 +7,22 @@
 // the standard preprocessing step for cache-friendly CSR layouts.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/csr.hpp"
-#include "util/env.hpp"
+
+namespace bpart {
+
+/// Vertex-relabeling mode the pipeline applies before partitioning
+/// (PipelineConfig::reorder).
+enum class ReorderMode : std::uint8_t { kNone, kDegree, kBfs, kRandom };
+
+/// The name of a mode ("none"/"degree"/"bfs"/"random") — cache keys and
+/// bench rows use it.
+const char* reorder_mode_name(ReorderMode mode);
+
+}  // namespace bpart
 
 namespace bpart::graph {
 
@@ -41,7 +53,7 @@ bool is_permutation(const std::vector<VertexId>& perm);
 /// inv[new id] = old id, the inverse of perm[old id] = new id. Checked.
 std::vector<VertexId> invert_permutation(const std::vector<VertexId>& perm);
 
-/// The permutation for a $BPART_REORDER mode: degree_order, bfs_order from
+/// The permutation for a reorder mode: degree_order, bfs_order from
 /// the highest-out-degree vertex (lowest id on ties — a deterministic hub
 /// seed), or random_order(seed). kNone returns an empty vector, the
 /// pipeline's "identity, skip the rebuild" signal.

@@ -30,10 +30,8 @@ void write_meta(json::Writer& w) {
   w.kv("pid", static_cast<std::int64_t>(::getpid()));
   w.key("env").begin_object();
   static constexpr const char* kKnobs[] = {
-      "BPART_THREADS",      "BPART_SCALE",      "BPART_SEED",
-      "BPART_EXEC_THREADS", "BPART_EXEC_CHUNK", "BPART_VCUT_BATCH",
-      "BPART_STREAM_BATCH", "BPART_TRACE",      "BPART_METRICS",
-      "BPART_TIMELINE",
+      "BPART_THREADS", "BPART_SCALE",   "BPART_SEED",     "BPART_EXEC_THREADS",
+      "BPART_TRACE",   "BPART_METRICS", "BPART_TIMELINE",
   };
   for (const char* knob : kKnobs) {
     if (const char* v = std::getenv(knob); v != nullptr) w.kv(knob, v);

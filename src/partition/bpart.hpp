@@ -71,8 +71,8 @@ struct BPartConfig {
 
   PairingRule pairing = PairingRule::kGreedyBins;
 
-  /// Buffered-streaming pass-through (StreamConfig::batch_size): 0 defers
-  /// to $BPART_STREAM_BATCH, whose own default keeps the sequential pass.
+  /// Buffered-streaming pass-through (StreamConfig::batch_size): 0 keeps
+  /// the sequential pass.
   std::uint32_t stream_batch = 0;
 
   /// Worker threads for the buffered pass (StreamConfig::threads); 0

@@ -65,14 +65,14 @@ struct StreamConfig {
   /// streams from collapsing into one part; 0 disables the cap.
   double capacity_slack = 1.2;
 
-  /// Buffered-streaming batch size (Chhabra et al. style). 0 defers to the
-  /// $BPART_STREAM_BATCH environment knob, whose own default of 0 selects
-  /// the classic one-vertex-at-a-time sequential pass. Any value > 0
-  /// switches to the batched pass: vertices are scored in batches of this
-  /// size against an immutable snapshot of the per-part state and committed
-  /// in stream order. The batched result is independent of `threads` (the
-  /// same partition at 1 or 8 workers) but differs from the sequential pass,
-  /// because vertices within one batch do not see each other's assignments.
+  /// Buffered-streaming batch size (Chhabra et al. style). 0 (default)
+  /// selects the classic one-vertex-at-a-time sequential pass. Any value
+  /// > 0 switches to the batched pass: vertices are scored in batches of
+  /// this size against an immutable snapshot of the per-part state and
+  /// committed in stream order. The batched result is independent of
+  /// `threads` (the same partition at 1 or 8 workers) but differs from the
+  /// sequential pass, because vertices within one batch do not see each
+  /// other's assignments.
   std::uint32_t batch_size = 0;
 
   /// Worker threads for batched scoring; 0 defers to util::thread_count()
@@ -112,10 +112,10 @@ struct StreamConfig {
 /// kUnassigned. Passing all vertices of g gives the classic whole-graph
 /// streaming partition.
 ///
-/// With cfg.batch_size > 0 (or $BPART_STREAM_BATCH set) the pass runs the
-/// parallel buffered protocol documented in DESIGN.md §9: score a batch of
-/// vertices concurrently against a part-state snapshot, merge sharded
-/// per-worker accumulators at the batch boundary, commit in stream order.
+/// With cfg.batch_size > 0 the pass runs the parallel buffered protocol
+/// documented in DESIGN.md §9: score a batch of vertices concurrently
+/// against a part-state snapshot, merge sharded per-worker accumulators at
+/// the batch boundary, commit in stream order.
 /// Deterministic for a fixed (graph, subset, k, cfg) at any thread count.
 Partition greedy_stream_partition(const graph::Graph& g,
                                   std::span<const graph::VertexId> vertices,

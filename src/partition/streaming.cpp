@@ -483,8 +483,7 @@ Partition greedy_stream_partition(const graph::Graph& g,
 
   std::vector<PartState> state(k);
 
-  const std::uint32_t batch =
-      cfg.batch_size != 0 ? cfg.batch_size : stream_batch_size();
+  const std::uint32_t batch = cfg.batch_size;
   // The buffered pass only engages when there is more than one batch; a
   // subset that fits in one batch keeps exact sequential scoring (BPart's
   // late combining layers and small bisection pieces stay bit-identical).

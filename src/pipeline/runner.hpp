@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "graph/csr.hpp"
+#include "graph/reorder.hpp"
 #include "partition/partition.hpp"
 #include "pipeline/artifact_store.hpp"
 #include "pipeline/ingest.hpp"
@@ -26,12 +27,12 @@ struct PipelineConfig {
   /// paper's setting for the social-graph datasets. Off = directed CSR.
   bool symmetrize = false;
 
-  /// Vertex relabeling applied between ingest and partitioning, defaulted
-  /// from $BPART_REORDER. The runner hands out the *reordered* CSR (and
-  /// caches it, with its permutation, as first-class artifacts); engines,
+  /// Vertex relabeling applied between ingest and partitioning; none by
+  /// default. The runner hands out the *reordered* CSR (and caches it,
+  /// with its permutation, as first-class artifacts); engines,
   /// partitioners and the dist layer stay oblivious — per-vertex results
   /// are mapped back to input ids at the API boundary with unpermute().
-  ReorderMode reorder = reorder_mode();
+  ReorderMode reorder = ReorderMode::kNone;
 
   /// Shuffle seed of ReorderMode::kRandom (part of the cache key).
   std::uint64_t reorder_seed = global_seed();

@@ -1,13 +1,10 @@
 #include "util/env.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
-#include <system_error>
 #include <thread>
 
 #include <unistd.h>
@@ -41,17 +38,15 @@ unsigned available_cpus() {
 }
 
 /// The one parse path of the integer knobs (rule in env.hpp): unset gives
-/// `fallback`; junk, i.e. anything std::from_chars does not consume whole,
-/// or a value below `lo` warns and gives `fallback`; a value above `hi`
-/// warns and clamps to `hi`.
+/// `fallback`; junk or a value below `lo` warns and gives `fallback`; a
+/// value above `hi` warns and clamps to `hi`.
 std::uint64_t int_knob(const char* name, std::uint64_t fallback,
                        std::uint64_t lo, std::uint64_t hi) {
   const char* env = std::getenv(name);
   if (env == nullptr) return fallback;
-  const char* end = env + std::strlen(env);
   std::uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(env, end, v);
-  if (ptr != end || ec == std::errc::invalid_argument) {
+  const std::errc ec = parse_whole(env, v);
+  if (ec == std::errc::invalid_argument) {
     LOG_WARN << name << " is not a number: \"" << env << "\", using "
              << fallback;
     return fallback;
@@ -96,10 +91,8 @@ double dataset_scale() {
   static const double scale = [] {
     const char* env = std::getenv("BPART_SCALE");
     if (env == nullptr) return 1.0;
-    const char* end = env + std::strlen(env);
     double s = 0;
-    const auto [ptr, ec] = std::from_chars(env, end, s);
-    if (ec != std::errc() || ptr != end || !std::isfinite(s) || s <= 0) {
+    if (parse_whole(env, s) != std::errc() || !std::isfinite(s) || s <= 0) {
       LOG_WARN << "BPART_SCALE must be a positive number, got \"" << env
                << "\", using 1";
       return 1.0;
@@ -121,53 +114,9 @@ unsigned exec_threads() {
       int_knob("BPART_EXEC_THREADS", 1, 1, kMaxThreads));
 }
 
-std::uint32_t exec_chunk_edges() {
-  return static_cast<std::uint32_t>(
-      int_knob("BPART_EXEC_CHUNK", 4096, 64, std::uint64_t{1} << 22));
-}
-
 std::uint64_t global_seed() {
   return int_knob("BPART_SEED", 17, 0,
                   std::numeric_limits<std::uint64_t>::max());
-}
-
-std::uint32_t vcut_batch() {
-  return static_cast<std::uint32_t>(
-      int_knob("BPART_VCUT_BATCH", 4096, 1, std::uint64_t{1} << 24));
-}
-
-bool pin_threads() {
-  const char* env = std::getenv("BPART_PIN");
-  if (env == nullptr) return false;
-  const std::string v(env);
-  return v == "1" || v == "true" || v == "on";
-}
-
-ReorderMode reorder_mode() {
-  const char* env = std::getenv("BPART_REORDER");
-  if (env == nullptr) return ReorderMode::kNone;
-  const std::string v(env);
-  if (v == "none") return ReorderMode::kNone;
-  if (v == "degree") return ReorderMode::kDegree;
-  if (v == "bfs") return ReorderMode::kBfs;
-  if (v == "random") return ReorderMode::kRandom;
-  LOG_WARN << "BPART_REORDER must be none|degree|bfs|random, got " << env;
-  return ReorderMode::kNone;
-}
-
-const char* reorder_mode_name(ReorderMode mode) {
-  switch (mode) {
-    case ReorderMode::kDegree: return "degree";
-    case ReorderMode::kBfs: return "bfs";
-    case ReorderMode::kRandom: return "random";
-    case ReorderMode::kNone: break;
-  }
-  return "none";
-}
-
-std::uint32_t stream_batch_size() {
-  return static_cast<std::uint32_t>(
-      int_knob("BPART_STREAM_BATCH", 0, 0, std::uint64_t{1} << 24));
 }
 
 }  // namespace bpart

@@ -1,15 +1,36 @@
-// Experiment-scaling knobs shared by benches and tests.
+// Experiment-scaling knobs shared by benches and tests, and the number
+// parser they share with the bench flags (util/options.hpp).
 //
 // Every numeric knob parses the same way: unset gives the default; junk
-// (anything std::from_chars does not consume whole, so "4x", "1e6", " 64"
-// and "-1" all count) or a value below the knob's minimum warns and gives
-// the default; a value above its maximum warns and clamps.
+// (anything parse_whole rejects, so "4x", "1e6", " 64" and "-1" all count)
+// or a value below the knob's minimum warns and gives the default; a value
+// above its maximum warns and clamps.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 namespace bpart {
+
+/// Parse all of `text` as a T with std::from_chars — the one number parser
+/// of the env knobs and the bench flags. Returns std::errc{} and sets `out`
+/// on success; std::errc::invalid_argument when from_chars does not
+/// consume the whole string ("4x", " 64", "+64", "0x40" and, for an integer
+/// T, "1e6" and "-1" into an unsigned); std::errc::result_out_of_range for
+/// a whole number that does not fit in T. `out` is untouched on failure.
+template <typename T>
+std::errc parse_whole(std::string_view text, T& out) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec == std::errc::invalid_argument || ptr != end)
+    return std::errc::invalid_argument;
+  if (ec == std::errc()) out = v;
+  return ec;
+}
 
 /// Expand dump-path patterns: every "%p" in `path` becomes the PID and
 /// "%%" an escaped literal '%'. Applied to $BPART_TRACE / $BPART_METRICS /
@@ -39,47 +60,11 @@ unsigned thread_count(unsigned requested = 0);
 /// [1, 256]. Results do not depend on it, only speed does.
 unsigned exec_threads();
 
-/// Target edges per scheduler chunk of the exec core, read from
-/// $BPART_EXEC_CHUNK on every call (default 4096, range [64, 2^22]).
-std::uint32_t exec_chunk_edges();
-
 /// Global reproducibility seed shared by the seeded partitioners (the
 /// vertex-cut placers hash with it), read from $BPART_SEED on every call.
 /// Default 17 — the historical seed of the vertex-cut family, kept so runs
 /// without the knob reproduce previously recorded numbers. Any uint64
 /// parses.
 std::uint64_t global_seed();
-
-/// Scoring-batch size of the buffered vertex-cut placers (hdrf-buffered),
-/// read from $BPART_VCUT_BATCH on every call. Default 4096, range
-/// [1, 2^24]. The batch size changes which pairs score against the same
-/// frozen snapshot — so it may change the assignment — but for a fixed
-/// batch size results are bit-identical across thread counts.
-std::uint32_t vcut_batch();
-
-/// Round-robin thread pinning switch, read from $BPART_PIN on every call.
-/// "1"/"true"/"on" pins each worker thread of the exec-core pools and the
-/// dist runtime to a fixed CPU (slot mod hardware_concurrency) at thread
-/// start — hwloc-free NUMA/locality pinning that keeps first-touched pages
-/// next to the thread that touched them. Anything else (or unset) leaves
-/// scheduling to the OS.
-bool pin_threads();
-
-/// Vertex-relabeling mode the pipeline applies before partitioning, read
-/// from $BPART_REORDER on every call: "none" (default), "degree", "bfs",
-/// "random". Junk values warn and fall through to "none".
-enum class ReorderMode : std::uint8_t { kNone, kDegree, kBfs, kRandom };
-ReorderMode reorder_mode();
-
-/// The knob string of a mode ("none"/"degree"/"bfs"/"random") — cache keys
-/// and bench rows use it.
-const char* reorder_mode_name(ReorderMode mode);
-
-/// Default batch size of the buffered streaming partitioner, read from
-/// $BPART_STREAM_BATCH on every call (default 0, range [0, 2^24]).
-/// 0 means "sequential pass" — the knob is an opt-in, so existing callers
-/// keep the exact classic streaming semantics unless the environment (or an
-/// explicit StreamConfig::batch_size) says otherwise.
-std::uint32_t stream_batch_size();
 
 }  // namespace bpart

@@ -1,22 +1,28 @@
 #include "util/options.hpp"
 
-#include <cctype>
-#include <cstdlib>
-#include <stdexcept>
+#include <system_error>
 
+#include "util/env.hpp"
 #include "util/logging.hpp"
 
 namespace bpart {
 
 namespace {
-std::string env_name(const std::string& key) {
-  std::string out = "BPART_";
-  for (char c : key) {
-    if (c == '-') out.push_back('_');
-    else out.push_back(static_cast<char>(std::toupper(static_cast<unsigned char>(c))));
+
+/// get_int/get_double's shared body: the whole value parsed by parse_whole,
+/// or `fallback` with a warning when it is junk or out of range.
+template <typename T>
+T parse_or(const std::string& key, const std::optional<std::string>& v,
+           T fallback) {
+  if (!v) return fallback;
+  T out = fallback;
+  if (parse_whole(*v, out) != std::errc()) {
+    LOG_WARN << "option --" << key << "=" << *v << " is not a number; using "
+             << fallback;
   }
   return out;
 }
+
 }  // namespace
 
 Options::Options(int argc, const char* const* argv) {
@@ -39,13 +45,11 @@ Options::Options(int argc, const char* const* argv) {
 }
 
 bool Options::has(const std::string& key) const {
-  return lookup(key).has_value();
+  return values_.contains(key);
 }
 
 std::optional<std::string> Options::lookup(const std::string& key) const {
   if (const auto it = values_.find(key); it != values_.end()) return it->second;
-  if (const char* env = std::getenv(env_name(key).c_str()); env != nullptr)
-    return std::string(env);
   return std::nullopt;
 }
 
@@ -56,27 +60,11 @@ std::string Options::get(const std::string& key,
 
 std::int64_t Options::get_int(const std::string& key,
                               std::int64_t fallback) const {
-  const auto v = lookup(key);
-  if (!v) return fallback;
-  try {
-    return std::stoll(*v);
-  } catch (const std::exception&) {
-    LOG_WARN << "option --" << key << "=" << *v << " is not an integer; "
-             << "using " << fallback;
-    return fallback;
-  }
+  return parse_or(key, lookup(key), fallback);
 }
 
 double Options::get_double(const std::string& key, double fallback) const {
-  const auto v = lookup(key);
-  if (!v) return fallback;
-  try {
-    return std::stod(*v);
-  } catch (const std::exception&) {
-    LOG_WARN << "option --" << key << "=" << *v << " is not a number; using "
-             << fallback;
-    return fallback;
-  }
+  return parse_or(key, lookup(key), fallback);
 }
 
 bool Options::get_bool(const std::string& key, bool fallback) const {

@@ -1,8 +1,9 @@
-// Tiny command-line / environment option parser for benches and examples.
+// Tiny command-line option parser for benches and examples.
 //
 // Supports "--key=value", "--key value", and bare "--flag" (boolean true).
-// Every option can also be supplied via an environment variable
-// BPART_<KEY> (upper-cased, '-' -> '_'); the command line wins.
+// Options come only from the command line; the environment takes no part.
+// Numbers parse whole (parse_whole in util/env.hpp): "8x", " 64" or, for
+// an integer, "1e6" warn and give the fallback.
 #pragma once
 
 #include <cstdint>

@@ -5,36 +5,15 @@
 #include <mutex>
 #include <thread>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "util/check.hpp"
-#include "util/env.hpp"
 
 namespace bpart {
 
-void pin_this_thread(unsigned slot) {
-#ifdef __linux__
-  const unsigned ncpu = std::max(1u, std::thread::hardware_concurrency());
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(slot % ncpu, &set);
-  // Best effort: a failed affinity call (cgroup restrictions, exotic
-  // topologies) silently leaves the thread free-floating.
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)slot;
-#endif
-}
-
-ThreadPool::ThreadPool(unsigned workers, unsigned pin_slot_base)
-    : pin_slot_base_(pin_slot_base), pin_(pin_threads()) {
+ThreadPool::ThreadPool(unsigned workers) {
   BPART_CHECK(workers >= 1);
   threads_.reserve(workers);
   for (unsigned i = 0; i < workers; ++i)
-    threads_.emplace_back([this, i] { worker_loop(i); });
+    threads_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -46,8 +25,7 @@ ThreadPool::~ThreadPool() {
   for (auto& t : threads_) t.join();
 }
 
-void ThreadPool::worker_loop(unsigned index) {
-  if (pin_) pin_this_thread(pin_slot_base_ + index);
+void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {

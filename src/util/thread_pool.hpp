@@ -1,8 +1,9 @@
 // Work-queue thread pool plus a parallel_for helper.
 //
-// The pool backs the "real threads" execution mode of the cluster simulator
-// and the parallel sections of graph generation. On a single-core host it
-// degrades gracefully: parallel_for with one worker runs inline.
+// The pool backs the exec core's Executor (src/exec/scheduler.hpp);
+// parallel_for runs the one-shot loops of ingest, the CSR build and the
+// dist subgraph build. On a single-core host it degrades gracefully:
+// parallel_for with one worker runs inline.
 #pragma once
 
 #include <condition_variable>
@@ -16,18 +17,10 @@
 
 namespace bpart {
 
-/// Pin the calling thread to CPU `slot % hardware_concurrency` (round
-/// robin, hwloc-free). No-op off Linux or when affinity calls fail — the
-/// pin is a locality hint, never a correctness requirement.
-void pin_this_thread(unsigned slot);
-
 class ThreadPool {
  public:
-  /// Spawns `workers` threads (>= 1). When $BPART_PIN is on, worker i pins
-  /// itself to CPU (pin_slot_base + i) round-robin at startup; the base
-  /// lets an owner reserve slot 0 for its own (caller-participates)
-  /// thread.
-  explicit ThreadPool(unsigned workers, unsigned pin_slot_base = 1);
+  /// Spawns `workers` threads (>= 1).
+  explicit ThreadPool(unsigned workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -53,10 +46,8 @@ class ThreadPool {
   void wait_idle();
 
  private:
-  void worker_loop(unsigned index);
+  void worker_loop();
 
-  unsigned pin_slot_base_ = 1;
-  bool pin_ = false;
   std::vector<std::thread> threads_;
   std::queue<std::function<void()>> queue_;
   std::mutex mutex_;

@@ -89,14 +89,14 @@ EdgePartition Hdrf::partition(const graph::Graph& g, PartId k) const {
 }
 
 EdgePartition BufferedHdrf::partition(const graph::Graph& g, PartId k) const {
+  BPART_CHECK(cfg_.batch_size > 0);
   const auto pairs = canonical_pairs(g);
   const std::size_t num_pairs = pairs.size();
   BPART_SPAN("vcut/place", "pairs", static_cast<double>(num_pairs));
   detail::HdrfState st(g.num_vertices(), k, cfg_.hdrf);
   EdgePartition ep(g.num_edges(), k);
 
-  const std::size_t batch =
-      cfg_.batch_size != 0 ? cfg_.batch_size : vcut_batch();
+  const std::size_t batch = cfg_.batch_size;
   const std::uint64_t cap = pair_capacity(num_pairs, k, cfg_.capacity_slack);
   const unsigned threads = thread_count(cfg_.threads);
 

@@ -70,10 +70,10 @@ class Hdrf final : public EdgePartitioner {
 
 struct BufferedHdrfConfig {
   HdrfConfig hdrf;
-  /// Pairs per scoring batch; 0 reads $BPART_VCUT_BATCH (default 4096).
-  /// The batch size keys which pairs see the same frozen snapshot, so it
-  /// may change the assignment; the thread count never does.
-  std::uint32_t batch_size = 0;
+  /// Pairs per scoring batch (> 0). The batch size keys which pairs see
+  /// the same frozen snapshot, so it may change the assignment; the thread
+  /// count never does.
+  std::uint32_t batch_size = 4096;
   /// Scoring workers; 0 reads $BPART_THREADS / hardware concurrency.
   unsigned threads = 0;
   /// Hard per-part pair-load cap as a multiple of ceil(pairs / k); commits

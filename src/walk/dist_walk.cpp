@@ -128,7 +128,7 @@ DistWalkReport run_simple_walks_dist(const graph::Graph& g,
   // Walker batches are weight-free (see run_walks): 1/16th of the
   // edge-chunk target, >= 1.
   const std::uint32_t batch =
-      std::max<std::uint32_t>(1, cfg.exec.resolved_chunk_edges() / 16);
+      std::max<std::uint32_t>(1, cfg.exec.chunk_edges / 16);
 
   dist::RuntimeConfig rcfg;
   rcfg.max_supersteps = cfg.max_supersteps;

@@ -62,7 +62,7 @@ void step_walkers(const graph::Graph& g, const partition::Partition& parts,
   // unknowable), so chunk small enough that stealing can smooth out skew:
   // 1/16th of the edge-chunk target, >= 1.
   const std::uint32_t batch =
-      std::max<std::uint32_t>(1, cfg.exec.resolved_chunk_edges() / 16);
+      std::max<std::uint32_t>(1, cfg.exec.chunk_edges / 16);
 
   // Per-worker iteration tallies: step attempts per machine, shipped
   // walkers per (src, dst) pair, plus scalar counts. Integer sums are

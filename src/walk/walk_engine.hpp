@@ -140,7 +140,7 @@ struct WalkConfig {
   /// default; the embeddings example turns it on.
   bool record_paths = false;
   /// Exec-core workers that step walker batches in parallel (batch size =
-  /// resolved_chunk_edges() / 16 walkers); outputs do not depend on it.
+  /// chunk_edges / 16 walkers); outputs do not depend on it.
   exec::ExecConfig exec;
 };
 

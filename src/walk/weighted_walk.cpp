@@ -43,7 +43,7 @@ WeightedRandomWalk::WeightedRandomWalk(const graph::Graph& g, Config cfg)
 
   exec::Executor ex(threads);
   const auto plan = exec::ChunkScheduler::over_range(
-      g.out_offsets(), 0, n, cfg_.exec.resolved_chunk_edges());
+      g.out_offsets(), 0, n, cfg_.exec.chunk_edges);
   std::vector<std::vector<double>> scratch(ex.threads());
   ex.run(plan, [&](unsigned w, std::uint32_t, std::uint32_t lo,
                    std::uint32_t hi) { build_range(lo, hi, scratch[w]); });

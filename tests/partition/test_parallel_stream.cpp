@@ -2,18 +2,17 @@
 // (DESIGN.md §9). The contract under test:
 //   * the buffered result is a pure function of (graph, subset, k, config) —
 //     identical at 1, 2 and 8 worker threads;
-//   * quality parity with the sequential pass for every registered
-//     partitioner that routes through greedy_stream_partition: balance
-//     within each partitioner's documented thresholds, edge cut within 5%;
+//   * quality parity with the sequential pass for every partitioner that
+//     takes a batch size (Fennel, BPart): balance within each
+//     partitioner's documented thresholds, edge cut within 5%;
 //   * prioritized restreaming only improves the cut and never breaks
 //     assignment or balance invariants.
 // This suite runs under TSan in CI (the 8-thread cases exercise the
 // snapshot/score/merge/commit protocol with real concurrency).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <memory>
 #include <numeric>
-#include <string>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -31,30 +30,6 @@ namespace {
 
 using graph::Graph;
 using testing::social_graph;
-
-/// Scoped environment override (restores the previous value on exit).
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~EnvGuard() {
-    if (had_old_)
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    else
-      ::unsetenv(name_.c_str());
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
 
 std::vector<graph::VertexId> all_vertices(const Graph& g) {
   std::vector<graph::VertexId> order(g.num_vertices());
@@ -190,25 +165,28 @@ TEST(ParallelStream, ScratchSurvivesDuplicateSubsetThrow) {
 }
 
 TEST(ParallelStream, EnvKnobRoutesEveryStreamingPartitioner) {
-  // $BPART_STREAM_BATCH must reach the streaming pass of every registered
-  // partitioner built on it — fennel, bpart and bisect — without touching
-  // their construction, and quality must stay at parity: vertex/edge
-  // balance within each partitioner's documented box, edge cut within 5%
-  // of the sequential run.
+  // An explicit batch size must reach the streaming pass of every
+  // partitioner that takes one — Fennel through StreamConfig::batch_size,
+  // BPart through BPartConfig::stream_batch — and quality must stay at
+  // parity: vertex/edge balance within each partitioner's documented box,
+  // edge cut within 5% of the sequential run.
   const Graph g = social_graph();
+  StreamConfig fennel_cfg;
+  fennel_cfg.batch_size = 1024;
+  BPartConfig bpart_cfg;
+  bpart_cfg.stream_batch = 1024;
   struct Expectation {
     const char* algo;
+    std::unique_ptr<Partitioner> buffered;
     double vertex_bias_box;
     double edge_bias_box;
   };
   // Boxes mirror each partitioner's own test suite: fennel balances
   // vertices only (test_fennel), bpart holds both biases under ~0.15
-  // (test_bpart, Fig. 10), bisect is the multi-level splitter with a 5%
-  // per-level band (looser after log2(k) levels).
-  const std::vector<Expectation> expectations = {
-      {"fennel", 0.25, 10.0},
-      {"bpart", 0.15, 0.15},
-      {"bisect", 0.30, 0.30},
+  // (test_bpart, Fig. 10).
+  Expectation expectations[] = {
+      {"fennel", std::make_unique<Fennel>(fennel_cfg), 0.25, 10.0},
+      {"bpart", std::make_unique<BPart>(bpart_cfg), 0.15, 0.15},
   };
   for (const Expectation& e : expectations) {
     SCOPED_TRACE(e.algo);
@@ -216,8 +194,7 @@ TEST(ParallelStream, EnvKnobRoutesEveryStreamingPartitioner) {
 
     obs::Counter& batches = obs::counter("partition.stream_batches");
     const std::uint64_t batches_before = batches.value();
-    EnvGuard env("BPART_STREAM_BATCH", "1024");
-    const Partition buf = create(e.algo)->partition(g, 8);
+    const Partition buf = e.buffered->partition(g, 8);
     EXPECT_GT(batches.value(), batches_before)
         << "buffered pass did not engage";
 
@@ -231,20 +208,15 @@ TEST(ParallelStream, EnvKnobRoutesEveryStreamingPartitioner) {
 }
 
 TEST(ParallelStream, EnvKnobIsDeterministicAcrossThreadCounts) {
-  // The env-routed buffered pass must also be thread-count independent:
-  // same partition under BPART_THREADS=1 and =8.
+  // BPart's buffered pass must also be thread-count independent: the same
+  // partition at 1 and 8 scoring workers.
   const Graph g = social_graph();
-  EnvGuard batch("BPART_STREAM_BATCH", "512");
-  Partition p1(0, 1);
-  Partition p8(0, 1);
-  {
-    EnvGuard threads("BPART_THREADS", "1");
-    p1 = create("bpart")->partition(g, 8);
-  }
-  {
-    EnvGuard threads("BPART_THREADS", "8");
-    p8 = create("bpart")->partition(g, 8);
-  }
+  BPartConfig cfg;
+  cfg.stream_batch = 512;
+  cfg.stream_threads = 1;
+  const Partition p1 = BPart(cfg).partition(g, 8);
+  cfg.stream_threads = 8;
+  const Partition p8 = BPart(cfg).partition(g, 8);
   for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
     ASSERT_EQ(p1[v], p8[v]) << "vertex " << v;
 }

@@ -12,6 +12,13 @@
 #include <sched.h>
 #endif
 
+#include "engine/pagerank.hpp"
+#include "graph/generators.hpp"
+#include "obs/metrics.hpp"
+#include "partition/registry.hpp"
+#include "pipeline/runner.hpp"
+#include "vcut/registry.hpp"
+
 namespace bpart {
 namespace {
 
@@ -139,14 +146,15 @@ TEST_F(GlobalSeedTest, JunkFallsThroughToDefault) {
   EXPECT_EQ(global_seed(), def);
 }
 
-/// Clears the numeric knobs for each case and restores them afterwards, so
-/// a case may set any of them.
+/// Clears the numeric knobs, and the retired knobs RetiredKnobsChangeNothing
+/// sets, for each case and restores them afterwards, so a case may set any
+/// of them.
 class EnvKnobs : public ::testing::Test {
  protected:
   static constexpr const char* kKnobs[] = {
-      "BPART_THREADS",    "BPART_EXEC_THREADS", "BPART_EXEC_CHUNK",
-      "BPART_VCUT_BATCH", "BPART_STREAM_BATCH", "BPART_SEED",
-      "BPART_SCALE"};
+      "BPART_THREADS",      "BPART_EXEC_THREADS", "BPART_SEED",
+      "BPART_SCALE",        "BPART_EXEC_CHUNK",   "BPART_VCUT_BATCH",
+      "BPART_STREAM_BATCH", "BPART_PIN",          "BPART_REORDER"};
 
   void SetUp() override {
     for (const char* knob : kKnobs) {
@@ -177,18 +185,9 @@ TEST_F(EnvKnobs, JunkSuffixFallsThroughToDefault) {
   setenv("BPART_THREADS", threads.c_str(), 1);
   EXPECT_EQ(thread_count(), cpus) << threads;
 
-  setenv("BPART_EXEC_THREADS", "2x", 1);
-  EXPECT_EQ(exec_threads(), 1u);
-
-  setenv("BPART_EXEC_CHUNK", "128k", 1);
-  EXPECT_EQ(exec_chunk_edges(), 4096u);
-
-  setenv("BPART_VCUT_BATCH", "1e6", 1);
-  EXPECT_EQ(vcut_batch(), 4096u);
-
-  for (const char* junk : {"64 ", " 64", "+64", "0x40"}) {
-    setenv("BPART_STREAM_BATCH", junk, 1);
-    EXPECT_EQ(stream_batch_size(), 0u) << '"' << junk << '"';
+  for (const char* junk : {"2x", "128k", "1e6", "64 ", " 64", "+64", "0x40"}) {
+    setenv("BPART_EXEC_THREADS", junk, 1);
+    EXPECT_EQ(exec_threads(), 1u) << '"' << junk << '"';
   }
 
   setenv("BPART_SEED", "12x", 1);
@@ -201,17 +200,70 @@ TEST_F(EnvKnobs, JunkSuffixFallsThroughToDefault) {
 }
 
 TEST_F(EnvKnobs, AboveMaximumClamps) {
-  setenv("BPART_EXEC_CHUNK", "99999999", 1);
-  EXPECT_EQ(exec_chunk_edges(), 1u << 22);
-  setenv("BPART_VCUT_BATCH", "99999999", 1);
-  EXPECT_EQ(vcut_batch(), 1u << 24);
-  setenv("BPART_STREAM_BATCH", "99999999", 1);
-  EXPECT_EQ(stream_batch_size(), 1u << 24);
+  setenv("BPART_THREADS", "99999999", 1);
+  EXPECT_EQ(thread_count(), 256u);
+  setenv("BPART_EXEC_THREADS", "99999999", 1);
+  EXPECT_EQ(exec_threads(), 256u);
   // Past uint64 is still a whole number, so it clamps too.
   setenv("BPART_EXEC_THREADS", "99999999999999999999999", 1);
   EXPECT_EQ(exec_threads(), 256u);
   setenv("BPART_SEED", "99999999999999999999999", 1);
   EXPECT_EQ(global_seed(), std::numeric_limits<std::uint64_t>::max());
+}
+
+/// What default-configured runs of the layers the retired knobs used to
+/// steer produce: the exec-core chunks of an ExecConfig{} app, the
+/// pipeline's reorder mode, and the registry BPart and hdrf-buffered
+/// placements.
+struct DefaultRuns {
+  std::uint64_t pagerank_chunks = 0;
+  ReorderMode reorder = ReorderMode::kNone;
+  std::vector<partition::PartId> bpart;
+  std::vector<partition::PartId> hdrf_buffered;
+};
+
+DefaultRuns default_runs(const graph::Graph& g) {
+  DefaultRuns r;
+  const partition::Partition p = partition::create("bpart")->partition(g, 8);
+  r.bpart.assign(p.assignment().begin(), p.assignment().end());
+  obs::Counter& chunks = obs::counter("exec.chunks");
+  const std::uint64_t before = chunks.value();
+  engine::PageRankConfig pr;
+  pr.iterations = 1;
+  (void)engine::pagerank(g, p, pr);
+  r.pagerank_chunks = chunks.value() - before;
+  r.reorder = pipeline::PipelineConfig{}.reorder;
+  const vcut::EdgePartition ep =
+      vcut::create("hdrf-buffered")->partition(g, 8);
+  for (graph::EdgeId e = 0; e < ep.num_edges(); ++e)
+    r.hdrf_buffered.push_back(ep[e]);
+  return r;
+}
+
+TEST_F(EnvKnobs, RetiredKnobsChangeNothing) {
+  // Chunk size, both batch sizes and the reorder mode come from their
+  // config structs only, and no thread is pinned: setting the retired
+  // variables to non-default values must leave every run as it was.
+  graph::CommunityGraphConfig cfg;
+  cfg.num_vertices = 1 << 12;
+  cfg.avg_degree = 12.0;
+  cfg.seed = 3;
+  const graph::Graph g =
+      graph::Graph::from_edges_symmetric(graph::community_scale_free(cfg));
+  const DefaultRuns unset = default_runs(g);
+
+  setenv("BPART_EXEC_CHUNK", "64", 1);
+  setenv("BPART_VCUT_BATCH", "64", 1);
+  setenv("BPART_STREAM_BATCH", "64", 1);
+  setenv("BPART_PIN", "1", 1);
+  setenv("BPART_REORDER", "degree", 1);
+  const DefaultRuns set = default_runs(g);
+
+  EXPECT_GT(unset.pagerank_chunks, 0u);
+  EXPECT_EQ(set.pagerank_chunks, unset.pagerank_chunks);
+  EXPECT_EQ(set.reorder, ReorderMode::kNone);
+  EXPECT_EQ(set.bpart, unset.bpart);
+  EXPECT_EQ(set.hdrf_buffered, unset.hdrf_buffered);
 }
 
 }  // namespace

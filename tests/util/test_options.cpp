@@ -48,6 +48,17 @@ TEST(Options, MalformedNumberFallsBack) {
   const auto o = parse({"--n=abc"});
   EXPECT_EQ(o.get_int("n", 3), 3);
   EXPECT_DOUBLE_EQ(o.get_double("n", 1.5), 1.5);
+  // A prefix parse would read each of these as its leading number.
+  for (const char* junk : {"8x", "1e6", " 64", "0.5x"}) {
+    Options j;
+    j.set("n", junk);
+    EXPECT_EQ(j.get_int("n", 3), 3) << '"' << junk << '"';
+  }
+  for (const char* junk : {"8x", " 64", "0.5x"}) {
+    Options j;
+    j.set("n", junk);
+    EXPECT_DOUBLE_EQ(j.get_double("n", 1.5), 1.5) << '"' << junk << '"';
+  }
 }
 
 TEST(Options, DoubleParsing) {
@@ -63,18 +74,13 @@ TEST(Options, BoolSpellings) {
   EXPECT_FALSE(parse({"--a=no"}).get_bool("a", true));
 }
 
-TEST(Options, EnvironmentFallback) {
+TEST(Options, EnvironmentIsIgnored) {
   ::setenv("BPART_ENV_ONLY_KEY", "99", 1);
   const auto o = parse({});
-  EXPECT_EQ(o.get_int("env-only-key", 0), 99);
+  EXPECT_FALSE(o.has("env-only-key"));
+  EXPECT_EQ(o.get_int("env-only-key", 0), 0);
+  EXPECT_EQ(o.get("env-only-key", "def"), "def");
   ::unsetenv("BPART_ENV_ONLY_KEY");
-}
-
-TEST(Options, CommandLineBeatsEnvironment) {
-  ::setenv("BPART_PARTS", "64", 1);
-  const auto o = parse({"--parts=8"});
-  EXPECT_EQ(o.get_int("parts", 0), 8);
-  ::unsetenv("BPART_PARTS");
 }
 
 TEST(Options, SetOverrides) {
