@@ -1,6 +1,7 @@
 #include "walk/dist_walk.hpp"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <span>
 #include <utility>
@@ -8,12 +9,20 @@
 #include "dist/dist_graph.hpp"
 #include "dist/runtime.hpp"
 #include "exec/scheduler.hpp"
+#include "exec/simd.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace bpart::walk {
 
 namespace {
+
+/// Walkers a chunk keeps in flight. A step is two dependent loads (the
+/// vertex's offsets, then the drawn target); advancing a group round-robin
+/// overlaps those misses across walkers instead of waiting out each one.
+/// On the perfbench walk input widths 8 to 64 sit on one plateau, 4 is
+/// ~20% slower and one walker at a time ~2.5x slower (DESIGN.md §13).
+constexpr unsigned kInFlight = 16;
 
 struct Walker {
   std::uint64_t id;
@@ -29,7 +38,7 @@ struct Outgoing {
 
 struct WalkMachine {
   std::vector<Walker> queue;  // walkers currently on this machine (local ids)
-  std::vector<graph::EdgeId> rank;  // global_rank_table of the subgraph
+  std::vector<graph::VertexId> targets;  // global_order_targets(subgraph)
   std::uint64_t total_steps = 0;
   std::uint64_t message_walks = 0;
   // Per-machine executor plus per-chunk outgoing buffers and step tallies,
@@ -39,59 +48,112 @@ struct WalkMachine {
   std::vector<std::uint64_t> chunk_steps;
 };
 
-/// Maps (owned local vertex, global-order draw index) -> local neighbor
-/// slot. The subgraph CSR sorts each adjacency run by *local* id, which
-/// pushes every ghost neighbor behind the owned ones; the counter-stream
-/// contract needs draw index k to mean "k-th neighbor in global-id order",
-/// exactly as the single-machine engines index the global CSR. Each run is
-/// an owned half and a ghost half, both ascending by global id (local ids
-/// of either kind are numbered in global order), so one linear merge per
-/// run restores that order.
-std::vector<graph::EdgeId> global_rank_table(const partition::Subgraph& sub) {
-  std::vector<graph::EdgeId> rank(sub.local.num_edges());
+/// Each owned vertex's local out-targets in *global*-id order, laid out at
+/// the subgraph CSR's offsets. The subgraph sorts each run by local id,
+/// which pushes every ghost neighbor behind the owned ones; the
+/// counter-stream contract needs draw index k to mean "k-th neighbor in
+/// global-id order", exactly as the single-machine engines index the
+/// global CSR. Each run is an owned half and a ghost half, both ascending
+/// by global id (local ids of either kind are numbered in global order),
+/// so one linear merge per run restores that order.
+std::vector<graph::VertexId> global_order_targets(
+    const partition::Subgraph& sub) {
+  std::vector<graph::VertexId> targets(sub.local.num_edges());
   for (graph::VertexId lid = 0; lid < sub.num_local; ++lid) {
     const auto run = sub.local.out_neighbors(lid);
     const graph::EdgeId degree = run.size();
     const auto split = static_cast<graph::EdgeId>(
         std::lower_bound(run.begin(), run.end(), sub.num_local) - run.begin());
-    graph::EdgeId* out = rank.data() + sub.local.out_offsets()[lid];
+    graph::VertexId* out = targets.data() + sub.local.out_offsets()[lid];
     graph::EdgeId a = 0;
     graph::EdgeId b = split;
     while (a < split && b < degree)
-      *out++ = sub.global_id[run[a]] < sub.global_id[run[b]] ? a++ : b++;
-    while (a < split) *out++ = a++;
-    while (b < degree) *out++ = b++;
+      *out++ = sub.global_id[run[a]] < sub.global_id[run[b]] ? run[a++]
+                                                             : run[b++];
+    while (a < split) *out++ = run[a++];
+    while (b < degree) *out++ = run[b++];
   }
-  return rank;
+  return targets;
 }
 
-/// Advances one queued walker greedily (counter streams keyed on
-/// (seed, walker id, step)), reporting crossings through `ship` and
-/// returning the steps taken. Identical draws whichever machine — or
-/// worker thread — runs it.
+/// Advances one chunk of queued walkers until each finishes, dead-ends or
+/// crosses (reported through `ship`), and returns the steps taken. Up to
+/// kInFlight walkers are in flight, advanced round-robin in two stages:
+/// stage A reads the vertex's offsets (prefetched when the walker arrived
+/// there), draws, and prefetches the drawn target slot; stage B reads the
+/// target, counts the step, then ships, finishes or moves the walker and
+/// prefetches the new vertex's offsets. A freed slot refills from the
+/// chunk's next queued walker. Draws are keyed on (seed, walker id, step),
+/// and shipments leave in the group's completion order, which depends only
+/// on the chunk's walkers — not on the machine or worker thread running it.
 template <typename ShipFn>
-std::uint64_t advance_walker(const Walker& w, const partition::Subgraph& sub,
-                             std::span<const graph::EdgeId> rank,
-                             const ThreadedWalkConfig& cfg,
-                             graph::VertexId num_local, ShipFn&& ship) {
-  std::uint32_t taken = w.steps;
-  graph::VertexId at = w.at;
-  std::uint64_t steps = 0;
-  while (taken < cfg.length) {
-    const auto degree = sub.local.out_degree(at);
-    if (degree == 0) break;
-    CounterRng rng(cfg.seed, w.id, taken);
-    const graph::VertexId next = sub.local.out_neighbor(
-        at, rank[sub.local.out_offsets()[at] + rng.bounded(degree)]);
-    ++taken;
-    ++steps;
-    if (next >= num_local) {
-      const graph::VertexId ghost = next - num_local;
-      ship(sub.ghost_owner[ghost],
-           Walker{w.id, taken, sub.global_id[num_local + ghost]});
-      break;
+std::uint64_t advance_chunk(std::span<const Walker> walkers,
+                            const partition::Subgraph& sub,
+                            std::span<const graph::VertexId> targets,
+                            const ThreadedWalkConfig& cfg, ShipFn&& ship) {
+  // Stage marker: a slot whose draw is kUndrawn is in stage A.
+  constexpr graph::EdgeId kUndrawn = ~graph::EdgeId{0};
+  struct Slot {
+    Walker w;
+    graph::EdgeId drawn;  // target slot drawn in stage A
+  };
+  const auto offsets = sub.local.out_offsets();
+  const graph::VertexId num_local = sub.num_local;
+
+  std::array<Slot, kInFlight> group{};
+  std::size_t next = 0;
+  // Seats the chunk's next walker with steps left in `slot`; false once
+  // the chunk has no walker left to seat.
+  auto admit = [&](Slot& slot) {
+    while (next < walkers.size()) {
+      const Walker& w = walkers[next++];
+      if (w.steps >= cfg.length) continue;  // arrived on its last step
+      exec::simd::prefetch_read(&offsets[w.at]);
+      slot = Slot{w, kUndrawn};
+      return true;
     }
-    at = next;
+    return false;
+  };
+  unsigned live = 0;
+  while (live < kInFlight && admit(group[live])) ++live;
+
+  std::uint64_t steps = 0;
+  while (live > 0) {
+    for (unsigned i = 0; i < live;) {
+      Slot& s = group[i];
+      bool done = false;
+      if (s.drawn == kUndrawn) {
+        const graph::EdgeId begin = offsets[s.w.at];
+        const graph::EdgeId degree = offsets[s.w.at + 1] - begin;
+        if (degree == 0) {
+          done = true;
+        } else {
+          CounterRng rng(cfg.seed, s.w.id, s.w.steps);
+          s.drawn = begin + rng.bounded(degree);
+          exec::simd::prefetch_read(&targets[s.drawn]);
+        }
+      } else {
+        const graph::VertexId to = targets[s.drawn];
+        s.drawn = kUndrawn;
+        ++s.w.steps;
+        ++steps;
+        if (to >= num_local) {
+          ship(sub.ghost_owner[to - num_local],
+               Walker{s.w.id, s.w.steps, sub.global_id[to]});
+          done = true;
+        } else if (s.w.steps >= cfg.length) {
+          done = true;
+        } else {
+          s.w.at = to;
+          exec::simd::prefetch_read(&offsets[to]);
+        }
+      }
+      if (!done || admit(s)) {
+        ++i;
+      } else {
+        s = group[--live];  // the moved walker takes its turn at slot i
+      }
+    }
   }
   return steps;
 }
@@ -109,13 +171,13 @@ DistWalkReport run_simple_walks_dist(const graph::Graph& g,
   const dist::DistGraph dg(g, parts);
   std::vector<WalkMachine> state(machines);
   const unsigned exec_threads = cfg.exec.resolved_threads();
-  // Rank table, initial walkers and executor are built on the worker thread
-  // that drives the machine. Walkers queue by round, then owned local id —
-  // the order of a global scan over (round, vertex).
+  // Target table, initial walkers and executor are built on the worker
+  // thread that drives the machine. Walkers queue by round, then owned
+  // local id — the order of a global scan over (round, vertex).
   auto init_machine = [&](cluster::MachineId m) {
     const partition::Subgraph& sub = dg.subgraph(m);
     WalkMachine& me = state[m];
-    me.rank = global_rank_table(sub);
+    me.targets = global_order_targets(sub);
     me.queue.reserve(static_cast<std::size_t>(cfg.walks_per_vertex) *
                      sub.num_local);
     for (unsigned r = 0; r < cfg.walks_per_vertex; ++r)
@@ -137,14 +199,14 @@ DistWalkReport run_simple_walks_dist(const graph::Graph& g,
       machines, rcfg, [&](dist::Runtime<Walker>::Context& ctx, std::size_t) {
         WalkMachine& me = state[ctx.self()];
         const partition::Subgraph& sub = dg.subgraph(ctx.self());
-        const graph::VertexId num_local = sub.num_local;
 
         ctx.for_each_message([&](const Walker& w) {
           me.queue.push_back(Walker{w.id, w.steps, dg.owner_local(w.at)});
         });
 
         // Chunk the queue and buffer shipments per chunk; chunks are
-        // contiguous slices of the queue, so flushing the buffers in chunk
+        // contiguous slices of the queue and each appends its shipments in
+        // an order fixed by its walkers, so flushing the buffers in chunk
         // order gives the channel the same content order whatever worker
         // ran each chunk.
         const auto plan =
@@ -154,14 +216,11 @@ DistWalkReport run_simple_walks_dist(const graph::Graph& g,
         me.ex->run(plan, [&](unsigned, std::uint32_t c, std::uint32_t lo,
                              std::uint32_t hi) {
           auto& out = me.chunk_out[c];
-          std::uint64_t local_steps = 0;
-          for (std::uint32_t i = lo; i < hi; ++i)
-            local_steps += advance_walker(
-                me.queue[i], sub, me.rank, cfg, num_local,
-                [&](cluster::MachineId dst, Walker shipped) {
-                  out.push_back(Outgoing{dst, shipped});
-                });
-          me.chunk_steps[c] = local_steps;
+          me.chunk_steps[c] = advance_chunk(
+              std::span<const Walker>(me.queue).subspan(lo, hi - lo), sub,
+              me.targets, cfg, [&](cluster::MachineId dst, Walker shipped) {
+                out.push_back(Outgoing{dst, shipped});
+              });
         });
         std::uint64_t steps = 0;
         for (std::size_t c = 0; c < me.chunk_out.size(); ++c) {

@@ -7,11 +7,19 @@
 // walk workloads plot on the same axes as the cost-model simulations
 // (fig13's measured column).
 //
+// Each machine keeps its owned vertices' targets in global-id order (one
+// 4-byte table per machine), and each exec chunk of its walker queue keeps
+// a group of walkers in flight, stepped round-robin with the next loads
+// prefetched, so a walker that stays local for a long chain does not
+// serialize its cache misses (DESIGN.md §13).
+//
 // Every step draws from the counter-based stream keyed on
 // (seed, walker, step) — the same streams run_walks() uses — so a walker's
 // trajectory is a pure function of the seed: step totals, message-walk
 // counts and per-walker paths are identical across machine counts, exec
-// thread counts, and identical to run_walks() with SimpleRandomWalk.
+// thread counts, and identical to run_walks() with SimpleRandomWalk. Every
+// per-superstep, per-machine work and message row is identical across exec
+// thread counts and chunk sizes too.
 #pragma once
 
 #include <cstdint>
