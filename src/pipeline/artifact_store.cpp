@@ -1,14 +1,17 @@
 #include "pipeline/artifact_store.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 
 namespace bpart::pipeline {
@@ -17,29 +20,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a(const void* data, std::size_t n,
-                    std::uint64_t seed = kFnvOffset) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a_str(std::string_view s,
-                        std::uint64_t seed = kFnvOffset) {
-  return fnv1a(s.data(), s.size(), seed);
-}
-
-// (graph_revision below also uses fnv1a; keep the helpers above it.)
-
 constexpr std::uint64_t kArtifactMagic = 0x314341'5452415042ULL;  // "BPARTAC1"
-constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint32_t kFormatVersion = 2;
 constexpr std::uint32_t kKindGraph = 1;
 constexpr std::uint32_t kKindPartition = 2;
 constexpr std::uint32_t kKindPerm = 3;
@@ -53,113 +35,106 @@ struct ArtifactHeader {
   std::uint64_t payload_hash;
 };
 
-/// Flat little-endian-native byte buffer builder/reader for payloads.
-class Writer {
- public:
-  template <typename T>
-  void put(const T& v) {
-    const auto* p = reinterpret_cast<const char*>(&v);
-    bytes_.insert(bytes_.end(), p, p + sizeof(T));
-  }
-  template <typename T>
-  void put_array(std::span<const T> xs) {
-    const auto* p = reinterpret_cast<const char*>(xs.data());
-    bytes_.insert(bytes_.end(), p, p + sizeof(T) * xs.size());
-  }
-  [[nodiscard]] const std::vector<char>& bytes() const { return bytes_; }
+/// One field or array of a payload. A payload is a list of spans, written
+/// back to back; its checksum chains hash64 over them in order.
+using Bytes = std::span<const char>;
 
- private:
-  std::vector<char> bytes_;
-};
+template <typename T>
+Bytes array_bytes(std::span<const T> xs) {
+  return {reinterpret_cast<const char*>(xs.data()), xs.size_bytes()};
+}
 
-class Reader {
- public:
-  explicit Reader(const std::vector<char>& bytes) : bytes_(bytes) {}
-
-  template <typename T>
-  bool get(T& out) {
-    if (pos_ + sizeof(T) > bytes_.size()) return false;
-    std::memcpy(&out, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return true;
-  }
-  template <typename T>
-  bool get_array(std::vector<T>& out, std::size_t count) {
-    if (count > (bytes_.size() - pos_) / sizeof(T)) return false;
-    out.resize(count);
-    if (count > 0) std::memcpy(out.data(), bytes_.data() + pos_, sizeof(T) * count);
-    pos_ += sizeof(T) * count;
-    return true;
-  }
-  [[nodiscard]] bool exhausted() const { return pos_ == bytes_.size(); }
-
- private:
-  const std::vector<char>& bytes_;
-  std::size_t pos_ = 0;
-};
+template <typename T>
+Bytes field_bytes(const T& v) {
+  static_assert(std::is_arithmetic_v<T>);
+  return array_bytes(std::span<const T>(&v, 1));
+}
 
 const char* kind_ext(std::uint32_t kind) {
   if (kind == kKindGraph) return ".graph";
   return kind == kKindPerm ? ".perm" : ".part";
 }
 
-std::string reject(const std::string& path, const std::string& why) {
-  LOG_WARN << "artifact cache: rejecting " << path << " (" << why
-           << "); entry will be rebuilt";
-  std::error_code ec;
-  fs::remove(path, ec);
-  return why;
-}
+/// An artifact read straight into its destination arrays. open() checks
+/// the header, and that the payload fills the rest of the file, before the
+/// caller sizes any array from the payload's own fields; each read chains
+/// the checksum; finish() checks that the payload ended at the end of the
+/// file and that the checksum holds. A failed check rejects the file.
+class ArtifactFile {
+ public:
+  explicit ArtifactFile(std::string path) : path_(std::move(path)) {}
 
-/// Read + verify an artifact's payload; empty optional on any mismatch.
-std::optional<std::vector<char>> read_payload(const std::string& path,
-                                              std::uint32_t kind,
-                                              std::uint64_t key) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return std::nullopt;  // plain miss, not corruption
-  ArtifactHeader hdr{};
-  f.read(reinterpret_cast<char*>(&hdr), sizeof(hdr));
-  if (!f) {
-    reject(path, "truncated header");
-    return std::nullopt;
+  /// False on a plain miss (no file) or a rejected header.
+  bool open(std::uint32_t kind, std::uint64_t key) {
+    f_.open(path_, std::ios::binary | std::ios::ate);
+    if (!f_) return false;
+    const std::streamoff size = f_.tellg();
+    f_.seekg(0);
+    ArtifactHeader hdr{};
+    if (size < static_cast<std::streamoff>(sizeof(hdr)) ||
+        !f_.read(reinterpret_cast<char*>(&hdr), sizeof(hdr)))
+      return fail("truncated header");
+    if (hdr.magic != kArtifactMagic) return fail("bad magic");
+    if (hdr.format_version != kFormatVersion)
+      return fail("format version " + std::to_string(hdr.format_version) +
+                  " != " + std::to_string(kFormatVersion));
+    if (hdr.kind != kind) return fail("wrong artifact kind");
+    if (hdr.key != key)
+      return fail("key mismatch (hash collision or renamed entry)");
+    const auto on_disk = static_cast<std::uint64_t>(size) - sizeof(hdr);
+    if (hdr.payload_bytes != on_disk)
+      return fail("payload size " + std::to_string(hdr.payload_bytes) +
+                  " != " + std::to_string(on_disk) + " bytes on disk");
+    payload_bytes_ = hdr.payload_bytes;
+    expected_hash_ = hdr.payload_hash;
+    return true;
   }
-  if (hdr.magic != kArtifactMagic) {
-    reject(path, "bad magic");
-    return std::nullopt;
-  }
-  if (hdr.format_version != kFormatVersion) {
-    reject(path, "format version " + std::to_string(hdr.format_version) +
-                     " != " + std::to_string(kFormatVersion));
-    return std::nullopt;
-  }
-  if (hdr.kind != kind) {
-    reject(path, "wrong artifact kind");
-    return std::nullopt;
-  }
-  if (hdr.key != key) {
-    reject(path, "key mismatch (hash collision or renamed entry)");
-    return std::nullopt;
-  }
-  std::vector<char> payload(hdr.payload_bytes);
-  f.read(payload.data(), static_cast<std::streamsize>(payload.size()));
-  if (!f || f.gcount() != static_cast<std::streamsize>(payload.size())) {
-    reject(path, "truncated payload");
-    return std::nullopt;
-  }
-  if (f.peek() != std::ifstream::traits_type::eof()) {
-    reject(path, "trailing bytes after payload");
-    return std::nullopt;
-  }
-  if (fnv1a(payload.data(), payload.size()) != hdr.payload_hash) {
-    reject(path, "payload checksum mismatch");
-    return std::nullopt;
-  }
-  return payload;
-}
 
+  [[nodiscard]] std::uint64_t payload_bytes() const { return payload_bytes_; }
+
+  template <typename T>
+  bool read(T& v) {
+    return read(std::span<T>(&v, 1));
+  }
+
+  template <typename T>
+  bool read(std::span<T> xs) {
+    auto* dst = reinterpret_cast<char*>(xs.data());
+    if (!f_.read(dst, static_cast<std::streamsize>(xs.size_bytes())))
+      return fail("truncated payload");
+    hash_ = hash64(dst, xs.size_bytes(), hash_);
+    return true;
+  }
+
+  bool finish() {
+    if (f_.peek() != std::ifstream::traits_type::eof())
+      return fail("trailing bytes after payload");
+    if (hash_ != expected_hash_) return fail("payload checksum mismatch");
+    return true;
+  }
+
+  /// Warns, removes the file and returns false.
+  bool fail(const std::string& why) {
+    LOG_WARN << "artifact cache: rejecting " << path_ << " (" << why
+             << "); entry will be rebuilt";
+    std::error_code ec;
+    fs::remove(path_, ec);
+    return false;
+  }
+
+ private:
+  std::string path_;
+  std::ifstream f_;
+  std::uint64_t payload_bytes_ = 0;
+  std::uint64_t expected_hash_ = 0;
+  std::uint64_t hash_ = 0;
+};
+
+/// Hashes the spans, then writes the header and the spans themselves to a
+/// `.tmp` file renamed over `path`: no staging copy of the payload.
 bool write_artifact(const std::string& dir, const std::string& path,
                     std::uint32_t kind, std::uint64_t key,
-                    const std::vector<char>& payload) {
+                    std::initializer_list<Bytes> spans) {
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
@@ -167,9 +142,11 @@ bool write_artifact(const std::string& dir, const std::string& path,
              << ec.message();
     return false;
   }
-  const ArtifactHeader hdr{kArtifactMagic, kFormatVersion,      kind, key,
-                           payload.size(), fnv1a(payload.data(),
-                                                 payload.size())};
+  ArtifactHeader hdr{kArtifactMagic, kFormatVersion, kind, key, 0, 0};
+  for (const Bytes s : spans) {
+    hdr.payload_bytes += s.size();
+    hdr.payload_hash = hash64(s.data(), s.size(), hdr.payload_hash);
+  }
   const std::string tmp = path + ".tmp";
   {
     std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
@@ -178,7 +155,8 @@ bool write_artifact(const std::string& dir, const std::string& path,
       return false;
     }
     f.write(reinterpret_cast<const char*>(&hdr), sizeof(hdr));
-    f.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+    for (const Bytes s : spans)
+      f.write(s.data(), static_cast<std::streamsize>(s.size()));
     if (!f) {
       LOG_WARN << "artifact cache: write error on " << tmp;
       return false;
@@ -194,20 +172,24 @@ bool write_artifact(const std::string& dir, const std::string& path,
   return true;
 }
 
+/// True when `count` elements of `elem` bytes each take exactly `bytes`;
+/// divides rather than multiplies, so a forged count cannot overflow.
+bool fills(std::uint64_t bytes, std::uint64_t count, std::uint64_t elem) {
+  return bytes % elem == 0 && bytes / elem == count;
+}
+
 }  // namespace
 
 std::uint64_t graph_revision(const graph::Graph& g) {
-  const std::uint64_t n = g.num_vertices();
-  const std::uint64_t m = g.num_edges();
-  std::uint64_t h = fnv1a(&n, sizeof(n));
-  h = fnv1a(&m, sizeof(m), h);
+  const std::uint64_t counts[] = {g.num_vertices(), g.num_edges()};
+  std::uint64_t h = hash64(counts, sizeof(counts));
   // Targets alone don't pin the structure (they lack the run boundaries),
   // so fold the out-offsets in too; the in-side is derived from the same
   // edge set and adds nothing.
   const auto offsets = g.out_offsets();
   const auto targets = g.out_targets();
-  h = fnv1a(offsets.data(), offsets.size_bytes(), h);
-  h = fnv1a(targets.data(), targets.size_bytes(), h);
+  h = hash64(offsets.data(), offsets.size_bytes(), h);
+  h = hash64(targets.data(), targets.size_bytes(), h);
   return h;
 }
 
@@ -215,21 +197,23 @@ CacheKey CacheKey::for_file(const std::string& path, std::string_view tag) {
   std::ifstream f(path, std::ios::binary);
   if (!f)
     throw std::runtime_error("cannot hash cache input: " + path);
-  std::uint64_t h = fnv1a_str(tag);
+  std::uint64_t h = hash64(tag);
   std::vector<char> buf(1 << 20);
   while (f) {
     f.read(buf.data(), static_cast<std::streamsize>(buf.size()));
-    h = fnv1a(buf.data(), static_cast<std::size_t>(f.gcount()), h);
+    if (f.gcount() > 0)
+      h = hash64(buf.data(), static_cast<std::size_t>(f.gcount()), h);
   }
+  if (f.bad()) throw std::runtime_error("cannot hash cache input: " + path);
   return CacheKey(h, "file:" + path + ":" + std::string(tag));
 }
 
 CacheKey CacheKey::for_spec(std::string_view spec) {
-  return CacheKey(fnv1a_str(spec), "spec:" + std::string(spec));
+  return CacheKey(hash64(spec), "spec:" + std::string(spec));
 }
 
 CacheKey CacheKey::derive(std::string_view suffix) const {
-  return CacheKey(fnv1a_str(suffix, hash_), desc_ + std::string(suffix));
+  return CacheKey(hash64(suffix, hash_), desc_ + std::string(suffix));
 }
 
 std::string CacheKey::hex() const {
@@ -257,95 +241,130 @@ bool ArtifactStore::enabled() {
   return !(s == "0" || s == "false" || s == "off" || s == "no");
 }
 
+// Graph payload: n, m, sides (u64 each), out-offsets (n + 1), out-targets
+// (m), then in-offsets and in-targets only when sides == 2. A graph whose
+// in-side equals its out-side (every symmetric build) stores one side.
 std::optional<graph::Graph> ArtifactStore::load_graph(
     const CacheKey& key) const {
-  const std::string path = dir_ + "/" + key.hex() + kind_ext(kKindGraph);
-  auto payload = read_payload(path, kKindGraph, key.hash());
-  if (!payload) return std::nullopt;
-  Reader r(*payload);
+  ArtifactFile file(dir_ + "/" + key.hex() + kind_ext(kKindGraph));
+  if (!file.open(kKindGraph, key.hash())) return std::nullopt;
   std::uint64_t n = 0;
   std::uint64_t m = 0;
-  std::vector<graph::EdgeId> out_off;
-  std::vector<graph::VertexId> out_tgt;
+  std::uint64_t sides = 0;
+  if (!file.read(n) || !file.read(m) || !file.read(sides))
+    return std::nullopt;
+  // Each side is n + 1 offsets and m targets; check that `sides` of them
+  // fill the payload before sizing any array from n or m. The payload
+  // matches a real file's size, so once n and m are bounded by it the side
+  // size cannot overflow.
+  const std::uint64_t body = file.payload_bytes() - 3 * sizeof(std::uint64_t);
+  const bool fits =
+      (sides == 1 || sides == 2) && n < body / sizeof(graph::EdgeId) &&
+      m <= body / sizeof(graph::VertexId) &&
+      fills(body, sides,
+            (n + 1) * sizeof(graph::EdgeId) + m * sizeof(graph::VertexId));
+  if (!fits) {
+    file.fail("payload layout mismatch");
+    return std::nullopt;
+  }
+  std::vector<graph::EdgeId> out_off(n + 1);
+  std::vector<graph::VertexId> out_tgt(m);
   std::vector<graph::EdgeId> in_off;
   std::vector<graph::VertexId> in_tgt;
-  if (!r.get(n) || !r.get(m) || !r.get_array(out_off, n + 1) ||
-      !r.get_array(out_tgt, m) || !r.get_array(in_off, n + 1) ||
-      !r.get_array(in_tgt, m) || !r.exhausted()) {
-    reject(path, "payload layout mismatch");
+  if (!file.read(std::span(out_off)) || !file.read(std::span(out_tgt)))
     return std::nullopt;
+  if (sides == 2) {
+    in_off.resize(n + 1);
+    in_tgt.resize(m);
+    if (!file.read(std::span(in_off)) || !file.read(std::span(in_tgt)))
+      return std::nullopt;
+  }
+  if (!file.finish()) return std::nullopt;
+  if (sides == 1) {
+    in_off = out_off;
+    in_tgt = out_tgt;
   }
   try {
     return graph::Graph::from_csr(std::move(out_off), std::move(out_tgt),
                                   std::move(in_off), std::move(in_tgt));
   } catch (const std::exception& e) {
-    reject(path, std::string("invalid CSR: ") + e.what());
+    file.fail(std::string("invalid CSR: ") + e.what());
     return std::nullopt;
   }
 }
 
 bool ArtifactStore::store_graph(const CacheKey& key,
                                 const graph::Graph& g) const {
-  Writer w;
-  w.put<std::uint64_t>(g.num_vertices());
-  w.put<std::uint64_t>(g.num_edges());
-  w.put_array(g.out_offsets());
-  w.put_array(g.out_targets());
-  w.put_array(g.in_offsets());
-  w.put_array(g.in_targets());
+  const bool one_side = std::ranges::equal(g.in_offsets(), g.out_offsets()) &&
+                        std::ranges::equal(g.in_targets(), g.out_targets());
+  const std::uint64_t n = g.num_vertices();
+  const std::uint64_t m = g.num_edges();
+  const std::uint64_t sides = one_side ? 1 : 2;
   const std::string path = dir_ + "/" + key.hex() + kind_ext(kKindGraph);
-  return write_artifact(dir_, path, kKindGraph, key.hash(), w.bytes());
+  if (one_side)
+    return write_artifact(dir_, path, kKindGraph, key.hash(),
+                          {field_bytes(n), field_bytes(m), field_bytes(sides),
+                           array_bytes(g.out_offsets()),
+                           array_bytes(g.out_targets())});
+  return write_artifact(
+      dir_, path, kKindGraph, key.hash(),
+      {field_bytes(n), field_bytes(m), field_bytes(sides),
+       array_bytes(g.out_offsets()), array_bytes(g.out_targets()),
+       array_bytes(g.in_offsets()), array_bytes(g.in_targets())});
 }
 
+// Partition payload: n (u64), k (u32), n assignment entries.
 std::optional<partition::Partition> ArtifactStore::load_partition(
     const CacheKey& key) const {
-  const std::string path = dir_ + "/" + key.hex() + kind_ext(kKindPartition);
-  auto payload = read_payload(path, kKindPartition, key.hash());
-  if (!payload) return std::nullopt;
-  Reader r(*payload);
+  ArtifactFile file(dir_ + "/" + key.hex() + kind_ext(kKindPartition));
+  if (!file.open(kKindPartition, key.hash())) return std::nullopt;
   std::uint64_t n = 0;
   std::uint32_t k = 0;
-  std::vector<partition::PartId> assign;
-  if (!r.get(n) || !r.get(k) || !r.get_array(assign, n) || !r.exhausted()) {
-    reject(path, "payload layout mismatch");
+  if (!file.read(n) || !file.read(k)) return std::nullopt;
+  if (!fills(file.payload_bytes() - sizeof(n) - sizeof(k), n,
+             sizeof(partition::PartId))) {
+    file.fail("payload layout mismatch");
     return std::nullopt;
   }
+  std::vector<partition::PartId> assign(n);
+  if (!file.read(std::span(assign)) || !file.finish()) return std::nullopt;
   try {
     return partition::Partition(std::move(assign), k);
   } catch (const std::exception& e) {
-    reject(path, std::string("invalid partition: ") + e.what());
+    file.fail(std::string("invalid partition: ") + e.what());
     return std::nullopt;
   }
 }
 
 bool ArtifactStore::store_partition(const CacheKey& key,
                                     const partition::Partition& p) const {
-  Writer w;
-  w.put<std::uint64_t>(p.num_vertices());
-  w.put<std::uint32_t>(p.num_parts());
-  w.put_array(p.assignment());
+  const std::uint64_t n = p.num_vertices();
+  const std::uint32_t k = p.num_parts();
   const std::string path = dir_ + "/" + key.hex() + kind_ext(kKindPartition);
-  return write_artifact(dir_, path, kKindPartition, key.hash(), w.bytes());
+  return write_artifact(dir_, path, kKindPartition, key.hash(),
+                        {field_bytes(n), field_bytes(k),
+                         array_bytes(p.assignment())});
 }
 
+// Permutation payload: n (u64), n vertex ids.
 std::optional<std::vector<graph::VertexId>> ArtifactStore::load_perm(
     const CacheKey& key) const {
-  const std::string path = dir_ + "/" + key.hex() + kind_ext(kKindPerm);
-  auto payload = read_payload(path, kKindPerm, key.hash());
-  if (!payload) return std::nullopt;
-  Reader r(*payload);
+  ArtifactFile file(dir_ + "/" + key.hex() + kind_ext(kKindPerm));
+  if (!file.open(kKindPerm, key.hash())) return std::nullopt;
   std::uint64_t n = 0;
-  std::vector<graph::VertexId> perm;
-  if (!r.get(n) || !r.get_array(perm, n) || !r.exhausted()) {
-    reject(path, "payload layout mismatch");
+  if (!file.read(n)) return std::nullopt;
+  if (!fills(file.payload_bytes() - sizeof(n), n, sizeof(graph::VertexId))) {
+    file.fail("payload layout mismatch");
     return std::nullopt;
   }
+  std::vector<graph::VertexId> perm(n);
+  if (!file.read(std::span(perm)) || !file.finish()) return std::nullopt;
   // Structural validation mirrors the graph/partition loaders: a corrupt
   // permutation silently scrambles every downstream result, so reject loudly.
   std::vector<bool> seen(perm.size(), false);
   for (graph::VertexId x : perm) {
     if (x >= perm.size() || seen[x]) {
-      reject(path, "not a permutation");
+      file.fail("not a permutation");
       return std::nullopt;
     }
     seen[x] = true;
@@ -355,11 +374,11 @@ std::optional<std::vector<graph::VertexId>> ArtifactStore::load_perm(
 
 bool ArtifactStore::store_perm(const CacheKey& key,
                                const std::vector<graph::VertexId>& perm) const {
-  Writer w;
-  w.put<std::uint64_t>(perm.size());
-  w.put_array(std::span<const graph::VertexId>(perm));
+  const std::uint64_t n = perm.size();
   const std::string path = dir_ + "/" + key.hex() + kind_ext(kKindPerm);
-  return write_artifact(dir_, path, kKindPerm, key.hash(), w.bytes());
+  return write_artifact(dir_, path, kKindPerm, key.hash(),
+                        {field_bytes(n),
+                         array_bytes(std::span<const graph::VertexId>(perm))});
 }
 
 bool ArtifactStore::has_graph(const CacheKey& key) const {

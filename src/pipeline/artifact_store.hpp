@@ -6,13 +6,15 @@
 // — keyed by a content hash of everything that determines them: the input
 // (file bytes or generator spec), the partitioner name, its configuration,
 // and a format version. Every artifact carries a payload checksum; a
-// truncated, bit-flipped or version-skewed entry is rejected loudly
-// (LOG_WARN + file removed) and the caller rebuilds it.
+// truncated, bit-flipped, oversized or version-skewed entry is rejected
+// loudly (LOG_WARN + file removed) and the caller rebuilds it.
 //
 // Layout: <dir>/<key-hex>.graph, <dir>/<key-hex>.part and (for the
 // pipeline's reorder stage) <dir>/<key-hex>.perm, written atomically
 // (tmp file + rename) so a crashed writer cannot leave a half-written
-// entry that passes the checksum.
+// entry that passes the checksum. Format version 2 (DESIGN.md §6): arrays
+// are written from and read into their final vectors with no staging copy,
+// and a graph whose in-side equals its out-side stores one side.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +28,8 @@
 
 namespace bpart::pipeline {
 
-/// Cache key: a 64-bit FNV-1a content hash plus the human-readable
-/// description it was derived from (kept for log messages).
+/// Cache key: a 64-bit content hash (hash64, util/hash.hpp) plus the
+/// human-readable description it was derived from (kept for log messages).
 class CacheKey {
  public:
   /// Key for a file input: hashes the file's *bytes* (so touching mtime
@@ -54,12 +56,12 @@ class CacheKey {
   std::string desc_;
 };
 
-/// Content revision of an in-memory graph: FNV-1a over the vertex/edge
-/// counts and both CSR target arrays. Two graphs share a revision iff
-/// their adjacency structure is identical, so folding this into a
+/// Content revision of an in-memory graph: hash64 over the vertex/edge
+/// counts, the out-offsets and the out-targets. Two graphs share a revision
+/// iff their adjacency structure is identical, so folding this into a
 /// partition cache key pins the cached assignment to the graph actually
 /// partitioned — a graph passed under another graph's key can never hit
-/// the partition computed for that key. O(V + E) byte scan, which is noise
+/// the partition computed for that key. O(V + E) word scan, which is noise
 /// next to any partitioner run it guards.
 std::uint64_t graph_revision(const graph::Graph& g);
 
@@ -78,8 +80,9 @@ class ArtifactStore {
 
   [[nodiscard]] const std::string& dir() const { return dir_; }
 
-  /// nullopt on miss, corruption (checksum/magic/version/key mismatch —
-  /// warned and removed), or structural validation failure.
+  /// nullopt on miss, corruption (checksum/magic/version/key/size mismatch
+  /// — warned and removed), or structural validation failure. Size fields
+  /// are checked against the file before anything is allocated from them.
   [[nodiscard]] std::optional<graph::Graph> load_graph(
       const CacheKey& key) const;
   [[nodiscard]] std::optional<partition::Partition> load_partition(

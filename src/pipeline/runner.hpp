@@ -17,6 +17,7 @@
 #include "pipeline/ingest.hpp"
 #include "util/env.hpp"
 #include "util/stats.hpp"
+#include "util/timer.hpp"
 
 namespace bpart::pipeline {
 
@@ -130,11 +131,13 @@ class PipelineRunner {
   [[nodiscard]] CacheKey base_graph_key(const std::string& path) const;
   /// graph_key() derived from an already computed base key.
   [[nodiscard]] CacheKey reordered_key(const CacheKey& base) const;
-  /// load_graph() under the precomputed base key of `path`.
-  graph::Graph load_graph(const std::string& path, const CacheKey& base);
-  /// Reorder stage: relabel `g` per cfg_.reorder, consulting/populating the
-  /// graph+perm artifacts under `rkey`; fills perm_ and the reorder report
-  /// fields. Identity mode returns `g` untouched.
+  /// load_graph() under the precomputed base key of `path`; `cache_timer`
+  /// started before that key was hashed, so the hashing counts as cache time.
+  graph::Graph load_graph(const std::string& path, const CacheKey& base,
+                          Timer cache_timer);
+  /// Reorder stage: relabel `g` per cfg_.reorder, populating the graph+perm
+  /// artifacts under `rkey`; fills perm_ and the reorder report fields.
+  /// Identity mode returns `g` untouched.
   graph::Graph reorder_stage(graph::Graph g, const CacheKey& rkey);
 
   PipelineConfig cfg_;

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <string>
 
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -250,6 +252,40 @@ TEST_F(RunnerTest, WarmReorderRunHitsTheReorderedCache) {
   EXPECT_TRUE(std::ranges::equal(second.graph.out_targets(),
                                  first.graph.out_targets()));
   expect_same_partition(second.partition, first.partition);
+}
+
+TEST_F(RunnerTest, ReorderRunStoresOneGraph) {
+  // A reorder run stores what it hands out, the reordered graph with its
+  // permutation, and its partition; not the un-reordered base graph.
+  PipelineConfig cfg = config();
+  cfg.reorder = ReorderMode::kDegree;
+  PipelineRunner cold(cfg);
+  const auto first = cold.run_file(input_, "bpart", 4);
+  std::map<std::string, int> entries;
+  for (const auto& entry : fs::directory_iterator(dir_ / "cache"))
+    ++entries[entry.path().extension().string()];
+  EXPECT_EQ(entries, (std::map<std::string, int>{
+                         {".graph", 1}, {".perm", 1}, {".part", 1}}));
+
+  PipelineRunner warm(cfg);
+  const auto second = warm.run_file(input_, "bpart", 4);
+  EXPECT_TRUE(warm.report().graph_cache_hit);
+  EXPECT_TRUE(warm.report().reorder_cache_hit);
+  EXPECT_TRUE(warm.report().partition_cache_hit);
+  EXPECT_EQ(second.perm, first.perm);
+  expect_same_partition(second.partition, first.partition);
+
+  // No base entry, so an identity-order run parses the input again.
+  PipelineRunner none(config());
+  const graph::Graph g = none.load_graph(input_);
+  EXPECT_FALSE(none.report().graph_cache_hit);
+  EXPECT_GT(none.report().ingest.edges, 0u);
+  const graph::Graph legacy =
+      graph::Graph::from_edges(graph::load_text_edges(input_));
+  EXPECT_TRUE(std::ranges::equal(g.out_offsets(), legacy.out_offsets()));
+  EXPECT_TRUE(std::ranges::equal(g.out_targets(), legacy.out_targets()));
+  EXPECT_TRUE(std::ranges::equal(g.in_offsets(), legacy.in_offsets()));
+  EXPECT_TRUE(std::ranges::equal(g.in_targets(), legacy.in_targets()));
 }
 
 TEST_F(RunnerTest, ReorderModesGetDistinctCacheEntriesAndNoneKeepsLegacyKey) {
