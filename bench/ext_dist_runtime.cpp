@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
         r.seconds = timer.seconds();
         r.model = engine::pagerank(g, parts).run;
         r.compute_mt = total_compute(
-            dist::pagerank(g, parts, {}, dist::PrMode::kPush, mt_opts).run);
+            dist::pagerank(g, parts, {}, dist::PrMode::kPull, mt_opts).run);
       } else if (name == "cc") {
         r.measured = dist::connected_components(g, parts).run;
         r.seconds = timer.seconds();

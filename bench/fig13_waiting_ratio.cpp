@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
         dist_cfg.walks_per_vertex = walks;
         const auto measured = walk::run_simple_walks_dist(g, p, dist_cfg);
         const auto mt_compute =
-            dist::pagerank(g, p, {}, dist::PrMode::kPush, mt_opts)
+            dist::pagerank(g, p, {}, dist::PrMode::kPull, mt_opts)
                 .run.compute_seconds_per_machine();
         table.row()
             .cell(graph_name)

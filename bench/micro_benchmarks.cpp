@@ -15,7 +15,6 @@
 #include "engine/pagerank.hpp"
 #include "graph/reorder.hpp"
 #include "partition/rebalance.hpp"
-#include "vcut/placers.hpp"
 
 namespace {
 
@@ -143,17 +142,6 @@ BENCHMARK_CAPTURE(BM_WalkSteps, simple, "simple-rw")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_WalkSteps, node2vec, "node2vec")
     ->Unit(benchmark::kMillisecond);
-
-void BM_HdrfEdgePartition(benchmark::State& state) {
-  const auto& g = bench_graph();
-  const vcut::Hdrf hdrf;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hdrf.partition(g, 8));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(g.num_edges()));
-}
-BENCHMARK(BM_HdrfEdgePartition)->Unit(benchmark::kMillisecond);
 
 void BM_Rebalance(benchmark::State& state) {
   const auto& g = bench_graph();

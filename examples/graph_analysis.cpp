@@ -23,10 +23,7 @@ int main(int argc, char** argv) {
 
   graph::Graph g;
   if (opts.has("file")) {
-    const std::string path = opts.get("file", "");
-    graph::EdgeList edges = path.ends_with(".bin")
-                                ? graph::load_binary_edges(path)
-                                : graph::load_text_edges(path);
+    graph::EdgeList edges = graph::load_text_edges(opts.get("file", ""));
     g = opts.get_bool("symmetrize", false)
             ? graph::Graph::from_edges_symmetric(std::move(edges))
             : graph::Graph::from_edges(edges);

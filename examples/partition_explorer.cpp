@@ -1,8 +1,9 @@
 // partition_explorer — the operational tool a user of this library would
-// actually run: load a graph (SNAP-style edge list, our binary format, or a
-// named synthetic dataset), partition it with any registered algorithm, and
-// print a full quality report. Optionally writes the vertex->part
-// assignment for consumption by a real distributed system's loader.
+// actually run: load a graph (SNAP-style edge list or a named synthetic
+// dataset), partition it with any registered algorithm, and print a full
+// quality report. Optionally writes the vertex->part assignment in
+// partition/io.hpp's format, which partition::load_partition (or a real
+// distributed system's loader) reads back.
 //
 // Usage:
 //   partition_explorer --graph=twitter --algo=bpart --parts=8
@@ -10,12 +11,13 @@
 //       --out=assignment.txt --symmetrize (second line of the same command)
 //   partition_explorer --graph=friendster --all --parts=8
 #include <cstdio>
-#include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "graph/analysis.hpp"
 #include "graph/datasets.hpp"
 #include "graph/io.hpp"
+#include "partition/io.hpp"
 #include "partition/metrics.hpp"
 #include "partition/registry.hpp"
 #include "partition/subgraph.hpp"
@@ -29,10 +31,7 @@ namespace {
 
 graph::Graph load_graph(const Options& opts) {
   if (opts.has("file")) {
-    const std::string path = opts.get("file", "");
-    graph::EdgeList edges = path.ends_with(".bin")
-                                ? graph::load_binary_edges(path)
-                                : graph::load_text_edges(path);
+    graph::EdgeList edges = graph::load_text_edges(opts.get("file", ""));
     if (opts.get_bool("symmetrize", false))
       return graph::Graph::from_edges_symmetric(std::move(edges));
     return graph::Graph::from_edges(edges);
@@ -118,16 +117,15 @@ int main(int argc, char** argv) {
   if (opts.has("out")) {
     const std::string algo =
         opts.get_bool("all", false) ? "bpart" : opts.get("algo", "bpart");
+    const std::string out = opts.get("out", "");
     const partition::Partition p = partition::create(algo)->partition(g, k);
-    std::ofstream f(opts.get("out", ""));
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", opts.get("out", "").c_str());
+    try {
+      partition::save_partition(p, out);
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "%s\n", e.what());
       return 1;
     }
-    f << "# vertex part (" << algo << ", " << k << " parts)\n";
-    for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
-      f << v << ' ' << p[v] << '\n';
-    std::printf("\nassignment written to %s\n", opts.get("out", "").c_str());
+    std::printf("\n%s assignment written to %s\n", algo.c_str(), out.c_str());
   }
   return 0;
 }

@@ -116,7 +116,6 @@ def attribute_superstep(step: dict) -> dict:
         "residual_wait": residual,
         "compute_ratio": (compute_max / mean) if mean > 0 else 1.0,
         "bytes": bytes_sent,
-        "phase": step.get("phase", ""),
     }
 
 
@@ -141,7 +140,6 @@ def attribute_run(run: dict) -> dict:
         "skew_wait": sum(s["skew_wait"] for s in steps),
         "residual_wait": sum(s["residual_wait"] for s in steps),
         "coverage": (charged / total) if total > 0 else 1.0,
-        "annotations": run.get("annotations", {}),
     }
 
 
@@ -171,14 +169,10 @@ def print_report(doc: dict, gantt_width: int) -> None:
               f"(coverage {a['coverage'] * 100:.1f}%); "
               f"skew-wait {a['skew_wait']:.4f}s, "
               f"residual {a['residual_wait']:.4f}s")
-        if a["annotations"]:
-            pairs = ", ".join(f"{k}={v:g}"
-                              for k, v in sorted(a["annotations"].items()))
-            print(f"  annotations: {pairs}")
-        print(f"  {'step':<5} {'phase':<8} {'wall_s':<9} {'gate':<6} "
+        print(f"  {'step':<5} {'wall_s':<9} {'gate':<6} "
               f"{'compute':<9} {'comm':<9} {'wait':<9} {'skew_w':<9} ratio")
         for s in a["steps"]:
-            print(f"  {s['index']:<5} {s['phase'] or '-':<8} "
+            print(f"  {s['index']:<5} "
                   f"{s['duration']:<9.4f} m{s['gating_machine']:<5} "
                   f"{s['compute']:<9.4f} {s['comm']:<9.4f} "
                   f"{s['wait']:<9.4f} {s['skew_wait']:<9.4f} "

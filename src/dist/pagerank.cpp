@@ -23,13 +23,11 @@ struct PrMsg {
 constexpr graph::VertexId kDanglingSentinel =
     std::numeric_limits<graph::VertexId>::max();
 
-// Per-machine state. The superstep is pull-shaped regardless of PrMode:
-// shares and per-chunk dangling partials are computed over edge-balanced
-// chunks, local mass is gathered per destination in CSR order
+// Per-machine state. The superstep is pull-shaped: shares and per-chunk
+// dangling partials are computed over edge-balanced chunks, local mass is
+// gathered per destination in CSR order at the next finalize
 // (deterministic for any worker count), and only the precollected boundary
-// edges scatter into ghost slots, sequentially. PrMode only moves where the
-// local gather happens — at emit (push) or at the next finalize (pull) — so
-// both modes ship the same ghost-aggregated messages.
+// edges scatter into ghost slots, sequentially.
 struct PrMachine {
   std::vector<double> rank;   // owned local ids
   std::vector<double> acc;    // incoming contributions, owned local ids
@@ -51,8 +49,8 @@ struct PrMachine {
 
 engine::PageRankResult pagerank(const graph::Graph& g,
                                 const partition::Partition& parts,
-                                const engine::PageRankConfig& cfg,
-                                PrMode mode, const DistOptions& opts) {
+                                const engine::PageRankConfig& cfg, PrMode,
+                                const DistOptions& opts) {
   BPART_CHECK(g.num_vertices() == parts.num_vertices());
   BPART_CHECK(parts.fully_assigned());
   const graph::VertexId n = g.num_vertices();
@@ -95,12 +93,11 @@ engine::PageRankResult pagerank(const graph::Graph& g,
   // Protocol per superstep s (s = 0 .. iterations):
   //   1. drain: contributions and dangling shares emitted at s-1 complete
   //      round s-1's accumulation;
-  //   2. if s > 0: finalize round s-1's ranks (pull mode gathers the local
-  //      in-edges here, against the shares recorded at s-1);
-  //   3. if s < iterations: emit round s — record shares (push mode also
-  //      gathers the local in-edges now), aggregate boundary contributions
-  //      in ghost slots, flush one message per dirty ghost, broadcast
-  //      dangling mass.
+  //   2. if s > 0: finalize round s-1's ranks, gathering the local
+  //      in-edges against the shares recorded at s-1;
+  //   3. if s < iterations: emit round s — record shares, aggregate
+  //      boundary contributions in ghost slots, flush one message per
+  //      dirty ghost, broadcast dangling mass.
   // Superstep `iterations` only drains and finalizes.
   RuntimeConfig rcfg;
   rcfg.threads = opts.threads;
@@ -123,40 +120,27 @@ engine::PageRankResult pagerank(const graph::Graph& g,
           const double dangling = me.dangling_received + me.dangling_local;
           const double base =
               (1.0 - cfg.damping) * inv_n + cfg.damping * dangling * inv_n;
-          if (mode == PrMode::kPull) {
-            // Gather local in-edges against last round's shares; remote
-            // in-edge mass already arrived via the drained messages.
-            exec::process_edges_pull(
-                *me.ex, me.in_plan, sub.local.in_offsets(),
-                sub.local.in_targets(),
-                [&](unsigned, std::uint32_t, graph::VertexId v) {
-                  const double local_sum = exec::simd::gather_sum(
-                      sub.local.in_neighbors(v), me.share.data());
-                  me.rank[v] = base + cfg.damping * (local_sum + me.acc[v]);
-                  me.acc[v] = 0.0;
-                });
-            ctx.add_work(me.gather_work);
-          } else {
-            me.ex->run(me.out_plan,
-                       [&](unsigned, std::uint32_t, graph::VertexId lo,
-                           graph::VertexId hi) {
-                         for (graph::VertexId v = lo; v < hi; ++v) {
-                           me.rank[v] = base + cfg.damping * me.acc[v];
-                           me.acc[v] = 0.0;
-                         }
-                       });
-          }
+          // Gather local in-edges against last round's shares; remote
+          // in-edge mass already arrived via the drained messages.
+          exec::process_edges_pull(
+              *me.ex, me.in_plan, sub.local.in_offsets(),
+              sub.local.in_targets(),
+              [&](unsigned, std::uint32_t, graph::VertexId v) {
+                const double local_sum = exec::simd::gather_sum(
+                    sub.local.in_neighbors(v), me.share.data());
+                me.rank[v] = base + cfg.damping * (local_sum + me.acc[v]);
+                me.acc[v] = 0.0;
+              });
+          ctx.add_work(me.gather_work);
           me.dangling_received = 0.0;
           me.dangling_local = 0.0;
         }
 
         if (s >= cfg.iterations) return Vote::kHalt;
 
-        // Emit, pull-shaped for both modes: shares and per-chunk dangling
-        // partials over edge-balanced chunks; in push mode local mass is
-        // gathered per destination right away (CSR order), in pull mode it
-        // waits for the next finalize. Boundary edges scatter sequentially
-        // from the precollected list, in a fixed order.
+        // Emit: shares and per-chunk dangling partials over edge-balanced
+        // chunks; local mass waits for the next finalize. Boundary edges
+        // scatter sequentially from the precollected list, in a fixed order.
         me.ex->run(me.out_plan,
                    [&](unsigned, std::uint32_t chunk, graph::VertexId lo,
                        graph::VertexId hi) {
@@ -173,15 +157,6 @@ engine::PageRankResult pagerank(const graph::Graph& g,
                      me.chunk_dangling[chunk] = dangling;
                    });
         for (const double d : me.chunk_dangling) me.dangling_local += d;
-        if (mode == PrMode::kPush) {
-          exec::process_edges_pull(
-              *me.ex, me.in_plan, sub.local.in_offsets(),
-              sub.local.in_targets(),
-              [&](unsigned, std::uint32_t, graph::VertexId v) {
-                me.acc[v] += exec::simd::gather_sum(sub.local.in_neighbors(v),
-                                                    me.share.data());
-              });
-        }
         for (const auto& [v, gi] : me.boundary) me.ghosts.add(gi, me.share[v]);
         ctx.add_work(me.emit_work);
 

@@ -14,20 +14,17 @@
 
 namespace bpart::dist {
 
-/// When the owned piece moves its local mass, Gemini's two modes. Both
-/// gather shares per destination over the local in-CSR (a fixed summation
-/// order at any thread count):
-///  - kPush gathers in the emitting superstep, as a push delivers it;
-///  - kPull gathers at the next superstep's finalize.
-/// Boundary contributions arrive as ghost-aggregated messages either way —
-/// remote in-edges live on the remote machine. Message traffic and results
-/// are identical.
-enum class PrMode : std::uint8_t { kPush, kPull };
+/// When the owned piece moves its local mass. The one mode, kPull, gathers
+/// shares per destination over the local in-CSR at the next superstep's
+/// finalize (a fixed summation order at any thread count); boundary
+/// contributions arrive as ghost-aggregated messages, since remote in-edges
+/// live on the remote machine.
+enum class PrMode : std::uint8_t { kPull };
 
 engine::PageRankResult pagerank(const graph::Graph& g,
                                 const partition::Partition& parts,
                                 const engine::PageRankConfig& cfg = {},
-                                PrMode mode = PrMode::kPush,
+                                PrMode mode = PrMode::kPull,
                                 const DistOptions& opts = {});
 
 }  // namespace bpart::dist

@@ -1,10 +1,7 @@
 #include "graph/io.hpp"
 
 #include <charconv>
-#include <cstdint>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 
@@ -12,19 +9,9 @@ namespace bpart::graph {
 
 namespace {
 
-constexpr std::uint64_t kBinaryMagic = 0x42504152542D4731ULL;  // "BPART-G1"
-constexpr std::uint32_t kBinaryVersion = 1;
-
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error(what);
 }
-
-struct BinaryHeader {
-  std::uint64_t magic;
-  std::uint32_t version;
-  std::uint32_t num_vertices;
-  std::uint64_t num_edges;
-};
 
 /// kInvalidVertex is reserved: as an id it would wrap the vertex count.
 bool parse_vertex(std::string_view tok, VertexId& out) {
@@ -78,38 +65,6 @@ void save_text_edges(const EdgeList& edges, const std::string& path) {
   f << "# bpart edge list: " << edges.num_vertices() << " vertices, "
     << edges.size() << " edges\n";
   for (const Edge& e : edges.edges()) f << e.src << ' ' << e.dst << '\n';
-  if (!f) fail("write error on " + path);
-}
-
-EdgeList load_binary_edges(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) fail("cannot open binary graph: " + path);
-  BinaryHeader hdr{};
-  f.read(reinterpret_cast<char*>(&hdr), sizeof(hdr));
-  if (!f) fail("truncated header in " + path);
-  if (hdr.magic != kBinaryMagic)
-    fail("bad magic in " + path + " (wrong format or endianness)");
-  if (hdr.version != kBinaryVersion)
-    fail("unsupported binary graph version " + std::to_string(hdr.version));
-  std::vector<Edge> raw(hdr.num_edges);
-  f.read(reinterpret_cast<char*>(raw.data()),
-         static_cast<std::streamsize>(sizeof(Edge) * raw.size()));
-  if (!f) fail("truncated edge data in " + path);
-  EdgeList edges(hdr.num_vertices);
-  edges.reserve(raw.size());
-  for (const Edge& e : raw) edges.add(e.src, e.dst);
-  edges.set_num_vertices(hdr.num_vertices);
-  return edges;
-}
-
-void save_binary_edges(const EdgeList& edges, const std::string& path) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) fail("cannot write binary graph: " + path);
-  const BinaryHeader hdr{kBinaryMagic, kBinaryVersion, edges.num_vertices(),
-                         edges.size()};
-  f.write(reinterpret_cast<const char*>(&hdr), sizeof(hdr));
-  f.write(reinterpret_cast<const char*>(edges.edges().data()),
-          static_cast<std::streamsize>(sizeof(Edge) * edges.size()));
   if (!f) fail("write error on " + path);
 }
 

@@ -1,11 +1,7 @@
-// Graph file IO.
-//
-// Two formats:
-//  * Text edge list — one "src dst" pair per line, '#' comments; the format
-//    of SNAP / KONECT dumps, so users can load real datasets if they have
-//    them.
-//  * Binary — a small header (magic, version, counts) followed by the raw
-//    edge array; ~20x faster to load, used to cache generated graphs.
+// Graph file IO: the text edge list — one "src dst" pair per line, '#'
+// comments; the format of SNAP / KONECT dumps, so users can load real
+// datasets if they have them. This is the simple reference loader;
+// pipeline/ingest.hpp is the sharded one the runner uses.
 #pragma once
 
 #include <string>
@@ -19,10 +15,5 @@ namespace bpart::graph {
 EdgeList load_text_edges(const std::string& path);
 
 void save_text_edges(const EdgeList& edges, const std::string& path);
-
-/// Binary round-trip. The header records endianness-sensitive magic so a
-/// foreign-endian file fails loudly instead of loading garbage.
-EdgeList load_binary_edges(const std::string& path);
-void save_binary_edges(const EdgeList& edges, const std::string& path);
 
 }  // namespace bpart::graph

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
+#include <utility>
 
 #include <unistd.h>
 
@@ -35,7 +36,6 @@ struct TimelineState {
   TimelineData data;
   std::string path;
   std::uint64_t next_run_id = 1;
-  std::uint64_t last_committed = 0;
   /// Runs begun but not yet committed: only their ids are live; begin
   /// assigns, commit appends — so concurrent runs commit in finish order.
   bool atexit_registered = false;
@@ -73,17 +73,10 @@ void enable(const std::string& path) {
 
 TimelineRun* find_run(TimelineState& st, std::uint64_t id) {
   // Runs commit in finish order, not id order; linear scan from the back
-  // finds recent runs (the only ones annotated) immediately.
+  // finds the run being committed, one of the most recently begun.
   for (auto it = st.data.runs.rbegin(); it != st.data.runs.rend(); ++it)
     if (it->id == id) return &*it;
   return nullptr;
-}
-
-void write_args(json::Writer& w,
-                const std::vector<std::pair<std::string, double>>& args) {
-  w.begin_object();
-  for (const auto& [k, v] : args) w.kv(k, v);
-  w.end_object();
 }
 
 }  // namespace
@@ -178,41 +171,6 @@ void timeline_commit_run(std::uint64_t run, const cluster::RunReport& report,
     }
     r->supersteps.push_back(std::move(row));
   }
-  st.last_committed = run;
-}
-
-std::uint64_t timeline_last_run() {
-  if (!timeline_enabled()) return 0;
-  TimelineState& st = state();
-  std::lock_guard<std::mutex> lock(st.mu);
-  return st.last_committed;
-}
-
-void timeline_set_phases(std::uint64_t run,
-                         const std::vector<std::string>& phases) {
-  if (run == 0 || !timeline_enabled()) return;
-  TimelineState& st = state();
-  std::lock_guard<std::mutex> lock(st.mu);
-  TimelineRun* r = find_run(st, run);
-  if (r == nullptr) return;
-  const std::size_t n = std::min(phases.size(), r->supersteps.size());
-  for (std::size_t s = 0; s < n; ++s) r->supersteps[s].phase = phases[s];
-}
-
-void timeline_annotate_run(std::uint64_t run, const std::string& key,
-                           double value) {
-  if (run == 0 || !timeline_enabled()) return;
-  TimelineState& st = state();
-  std::lock_guard<std::mutex> lock(st.mu);
-  TimelineRun* r = find_run(st, run);
-  if (r == nullptr) return;
-  for (auto& [k, v] : r->annotations) {
-    if (k == key) {
-      v = value;
-      return;
-    }
-  }
-  r->annotations.emplace_back(key, value);
 }
 
 void timeline_record_exec(std::uint32_t worker, std::uint64_t chunks,
@@ -278,17 +236,12 @@ std::string timeline_to_json(const TimelineData& data) {
     w.kv("id", r.id);
     w.kv("label", r.label);
     w.kv("machines", static_cast<std::uint64_t>(r.machines));
-    if (!r.annotations.empty()) {
-      w.key("annotations");
-      write_args(w, r.annotations);
-    }
     w.key("supersteps").begin_array();
     for (const TimelineSuperstep& s : r.supersteps) {
       w.begin_object();
       w.kv("index", static_cast<std::uint64_t>(s.index));
       w.kv("duration_seconds", s.duration_seconds);
       w.kv("gating_machine", static_cast<std::uint64_t>(s.gating_machine));
-      if (!s.phase.empty()) w.kv("phase", s.phase);
       w.key("machines").begin_array();
       for (const TimelineMachineRow& m : s.machines) {
         w.begin_object()
@@ -364,7 +317,6 @@ std::string timeline_stop() {
   TimelineState& st = state();
   std::lock_guard<std::mutex> lock(st.mu);
   st.data = TimelineData{};
-  st.last_committed = 0;
   return path;
 }
 

@@ -6,9 +6,8 @@
 // the superstep's wall time splits into compute / communication / barrier
 // wait per machine, and how many bytes crossed each (src, dst) channel.
 // The dist runtime feeds it per-superstep rows (gating machine identified
-// in the barrier completion phase), the exec core contributes per-worker
-// chunk-duration reservoir samples and steal counts, the vcut mirror
-// engines tag their A/B phases and traffic directions. obs/attrib.hpp turns
+// in the barrier completion phase) and the exec core contributes per-worker
+// chunk-duration reservoir samples and steal counts. obs/attrib.hpp turns
 // the recorded runs into a critical-path attribution; scripts/bpart_prof.py
 // does the same offline on the exported artifact.
 //
@@ -23,7 +22,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cluster/bsp.hpp"
@@ -73,8 +71,6 @@ struct TimelineSuperstep {
   double duration_seconds = 0;  ///< Barrier-to-barrier wall time.
   /// argmax compute machine, identified in the barrier completion phase.
   std::uint32_t gating_machine = 0;
-  /// Optional application tag ("boot" / "A" / "B" for the mirror engines).
-  std::string phase;
   std::vector<TimelineMachineRow> machines;
   /// machines × machines payload bytes, row-major (src * k + dst); sends
   /// queued during this superstep. Diagonal = local deliveries.
@@ -86,8 +82,6 @@ struct TimelineRun {
   std::string label;
   std::uint32_t machines = 0;
   std::vector<TimelineSuperstep> supersteps;
-  /// Free-form numeric annotations (mirror_to_master_bytes, ...).
-  std::vector<std::pair<std::string, double>> annotations;
 };
 
 /// Aggregated exec-core stats per worker index (across all Executor runs
@@ -138,20 +132,6 @@ void timeline_commit_run(std::uint64_t run, const cluster::RunReport& report,
                          const std::vector<std::uint32_t>& gating,
                          std::vector<std::vector<std::uint64_t>> channel_bytes,
                          const std::vector<std::uint32_t>& machine_worker);
-
-/// Id of the most recently committed run (0 if none): lets engines that
-/// drove a run through dist::Runtime annotate it after the fact.
-std::uint64_t timeline_last_run();
-
-/// Tag each superstep of a committed run with an application phase
-/// ("boot"/"A"/"B"); extra entries are ignored, missing ones stay empty.
-void timeline_set_phases(std::uint64_t run,
-                         const std::vector<std::string>& phases);
-
-/// Attach a numeric annotation to a committed run (re-adding a key
-/// replaces its value).
-void timeline_annotate_run(std::uint64_t run, const std::string& key,
-                           double value);
 
 /// Merge one exec-core worker's accumulated stats (called by Executor at
 /// the end of a run; samples beyond the per-worker reservoir capacity

@@ -69,15 +69,12 @@ class DistParity : public ::testing::TestWithParam<std::string> {
 
   static void check_parity(const graph::Graph& g, const Baselines& base,
                            const partition::Partition& parts) {
-    for (const PrMode mode : {PrMode::kPush, PrMode::kPull}) {
-      const engine::PageRankResult got = pagerank(g, parts, {}, mode);
-      double max_err = 0;
-      for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
-        max_err = std::max(max_err, std::abs(got.rank[v] - base.pr.rank[v]));
-      EXPECT_LE(max_err, 1e-10)
-          << (mode == PrMode::kPush ? "push" : "pull") << " PageRank";
-      EXPECT_GT(got.run.iterations.size(), 0u);
-    }
+    const engine::PageRankResult got = pagerank(g, parts, {}, PrMode::kPull);
+    double max_err = 0;
+    for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
+      max_err = std::max(max_err, std::abs(got.rank[v] - base.pr.rank[v]));
+    EXPECT_LE(max_err, 1e-10) << "pull PageRank";
+    EXPECT_GT(got.run.iterations.size(), 0u);
 
     const engine::ComponentsResult cc = connected_components(g, parts);
     EXPECT_EQ(cc.label, base.cc.label);

@@ -7,8 +7,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "graph/generators.hpp"
-
 namespace bpart::graph {
 namespace {
 
@@ -160,43 +158,6 @@ TEST_F(IoTest, TextRejectsMissingDst) {
 
 TEST_F(IoTest, TextMissingFileThrows) {
   EXPECT_THROW(load_text_edges(path("nope.txt")), std::runtime_error);
-}
-
-TEST_F(IoTest, BinaryRoundTripLargeGraph) {
-  RmatConfig cfg;
-  cfg.scale = 10;
-  cfg.edge_factor = 8;
-  const EdgeList el = rmat(cfg);
-  save_binary_edges(el, path("g.bin"));
-  const EdgeList loaded = load_binary_edges(path("g.bin"));
-  ASSERT_EQ(loaded.size(), el.size());
-  EXPECT_EQ(loaded.num_vertices(), el.num_vertices());
-  for (std::size_t i = 0; i < el.size(); i += 97) EXPECT_EQ(loaded[i], el[i]);
-}
-
-TEST_F(IoTest, BinaryPreservesIsolatedVertices) {
-  EdgeList el;
-  el.add(0, 1);
-  el.set_num_vertices(100);
-  save_binary_edges(el, path("iso.bin"));
-  EXPECT_EQ(load_binary_edges(path("iso.bin")).num_vertices(), 100u);
-}
-
-TEST_F(IoTest, BinaryRejectsGarbage) {
-  std::ofstream f(path("junk.bin"), std::ios::binary);
-  f << "this is not a graph file at all, padded to header size.....";
-  f.close();
-  EXPECT_THROW(load_binary_edges(path("junk.bin")), std::runtime_error);
-}
-
-TEST_F(IoTest, BinaryRejectsTruncatedFile) {
-  EdgeList el;
-  for (VertexId v = 0; v < 100; ++v) el.add(v, (v + 1) % 100);
-  save_binary_edges(el, path("t.bin"));
-  // Chop the file in half.
-  const auto full = std::filesystem::file_size(path("t.bin"));
-  std::filesystem::resize_file(path("t.bin"), full / 2);
-  EXPECT_THROW(load_binary_edges(path("t.bin")), std::runtime_error);
 }
 
 }  // namespace

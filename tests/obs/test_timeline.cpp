@@ -58,7 +58,6 @@ TEST(Timeline, OffByDefaultEveryEntryPointIsANoOp) {
   timeline_stop();  // force off, whatever earlier tests did
   EXPECT_FALSE(timeline_enabled());
   EXPECT_EQ(timeline_begin_run(4), 0u);
-  EXPECT_EQ(timeline_last_run(), 0u);
   timeline_record_exec(0, 100, 3, 1.0, {0.1, 0.2});
   {
     ScopedTimelineLabel label("test/off-label");
@@ -85,7 +84,6 @@ TEST(Timeline, CommitRunRecordsCompleteRows) {
       2, std::vector<std::uint64_t>(9, 8));
   timeline_commit_run(run, make_report(), kGating01, std::move(channels),
                       kMachineWorker);
-  EXPECT_EQ(timeline_last_run(), run);
 
   const TimelineData data = timeline_snapshot();
   ASSERT_EQ(data.runs.size(), 1u);
@@ -153,25 +151,6 @@ TEST(Timeline, AttributionReconcilesWithRunReport) {
 
   const std::string table = attribution_table(a);
   EXPECT_NE(table.find("who gated how often"), std::string::npos);
-  timeline_stop();
-}
-
-TEST(Timeline, PhasesAndAnnotationsAttachToCommittedRuns) {
-  timeline_stop();
-  timeline_start(temp_timeline_path("timeline_phases"));
-  const std::uint64_t run = timeline_begin_run(3);
-  timeline_commit_run(run, make_report(), kGating01, {}, kMachineWorker);
-  timeline_set_phases(run, {"boot", "A", "B"});  // extra entry ignored
-  timeline_annotate_run(run, "mirror_to_master_bytes", 128.0);
-  timeline_annotate_run(run, "mirror_to_master_bytes", 256.0);  // replaces
-
-  const TimelineData data = timeline_snapshot();
-  ASSERT_EQ(data.runs.size(), 1u);
-  ASSERT_EQ(data.runs[0].supersteps.size(), 2u);
-  EXPECT_EQ(data.runs[0].supersteps[0].phase, "boot");
-  EXPECT_EQ(data.runs[0].supersteps[1].phase, "A");
-  ASSERT_EQ(data.runs[0].annotations.size(), 1u);
-  EXPECT_EQ(data.runs[0].annotations[0].second, 256.0);
   timeline_stop();
 }
 

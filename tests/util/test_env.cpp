@@ -17,7 +17,6 @@
 #include "obs/metrics.hpp"
 #include "partition/registry.hpp"
 #include "pipeline/runner.hpp"
-#include "vcut/registry.hpp"
 
 namespace bpart {
 namespace {
@@ -213,13 +212,11 @@ TEST_F(EnvKnobs, AboveMaximumClamps) {
 
 /// What default-configured runs of the layers the retired knobs used to
 /// steer produce: the exec-core chunks of an ExecConfig{} app, the
-/// pipeline's reorder mode, and the registry BPart and hdrf-buffered
-/// placements.
+/// pipeline's reorder mode, and the registry BPart placement.
 struct DefaultRuns {
   std::uint64_t pagerank_chunks = 0;
   ReorderMode reorder = ReorderMode::kNone;
   std::vector<partition::PartId> bpart;
-  std::vector<partition::PartId> hdrf_buffered;
 };
 
 DefaultRuns default_runs(const graph::Graph& g) {
@@ -233,15 +230,11 @@ DefaultRuns default_runs(const graph::Graph& g) {
   (void)engine::pagerank(g, p, pr);
   r.pagerank_chunks = chunks.value() - before;
   r.reorder = pipeline::PipelineConfig{}.reorder;
-  const vcut::EdgePartition ep =
-      vcut::create("hdrf-buffered")->partition(g, 8);
-  for (graph::EdgeId e = 0; e < ep.num_edges(); ++e)
-    r.hdrf_buffered.push_back(ep[e]);
   return r;
 }
 
 TEST_F(EnvKnobs, RetiredKnobsChangeNothing) {
-  // Chunk size, both batch sizes and the reorder mode come from their
+  // Chunk size, the stream batch and the reorder mode come from their
   // config structs only, and no thread is pinned: setting the retired
   // variables to non-default values must leave every run as it was.
   graph::CommunityGraphConfig cfg;
@@ -263,7 +256,6 @@ TEST_F(EnvKnobs, RetiredKnobsChangeNothing) {
   EXPECT_EQ(set.pagerank_chunks, unset.pagerank_chunks);
   EXPECT_EQ(set.reorder, ReorderMode::kNone);
   EXPECT_EQ(set.bpart, unset.bpart);
-  EXPECT_EQ(set.hdrf_buffered, unset.hdrf_buffered);
 }
 
 }  // namespace
