@@ -181,10 +181,8 @@ int main(int argc, char** argv) {
       for (graph::VertexId v = 0; v < n; v += stride)
         frontier.add(v, g.out_degree(v));
       const double pct = 100.0 / static_cast<double>(stride);
-      // Defaults of engine::BfsConfig (Beamer's alpha/beta).
-      const bool beamer =
-          exec::choose_pull(frontier.edge_mass(), frontier.size(),
-                            g.num_edges(), n, 14.0, 24.0);
+      const bool beamer = exec::choose_pull(frontier.edge_mass(),
+                                            frontier.size(), g.num_edges(), n);
       const auto list = frontier.active();
       const auto push_plan = exec::ChunkScheduler::over_list(
           list.size(),

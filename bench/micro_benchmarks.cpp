@@ -1,7 +1,7 @@
 // Google-benchmark micro-benchmarks for the substrate hot paths: graph
-// generation, CSR construction, partitioner throughput, alias sampling and
-// walk stepping. These are per-operation costs, complementing the
-// paper-figure benches (which report simulated application time).
+// generation, CSR construction, partitioner throughput and walk stepping.
+// These are per-operation costs, complementing the paper-figure benches
+// (which report simulated application time).
 #include <benchmark/benchmark.h>
 
 #include <numeric>
@@ -9,7 +9,6 @@
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "partition/registry.hpp"
-#include "walk/alias.hpp"
 #include "walk/apps.hpp"
 #include "walk/walk_engine.hpp"
 #include "engine/pagerank.hpp"
@@ -100,31 +99,6 @@ BENCHMARK_CAPTURE(BM_Partitioner, bisect, "bisect")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Partitioner, multilevel, "multilevel")
     ->Unit(benchmark::kMillisecond);
-
-void BM_AliasTableBuild(benchmark::State& state) {
-  std::vector<double> weights(static_cast<std::size_t>(state.range(0)));
-  for (std::size_t i = 0; i < weights.size(); ++i)
-    weights[i] = 1.0 / static_cast<double>(i + 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(walk::AliasTable(weights));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_AliasTableBuild)->Arg(1 << 10)->Arg(1 << 16);
-
-void BM_AliasTableSample(benchmark::State& state) {
-  std::vector<double> weights(1 << 16);
-  for (std::size_t i = 0; i < weights.size(); ++i)
-    weights[i] = 1.0 / static_cast<double>(i + 1);
-  const walk::AliasTable table(weights);
-  Xoshiro256 rng(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.sample(rng));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_AliasTableSample);
 
 void BM_WalkSteps(benchmark::State& state, const std::string& app_name) {
   const auto& g = bench_graph();

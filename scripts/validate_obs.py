@@ -146,7 +146,7 @@ def validate_bench(path: str) -> None:
 
     metrics = doc.get("metrics")
     check(isinstance(metrics, dict), "metrics must be an object")
-    for key in ("counters", "gauges", "latencies"):
+    for key in ("counters", "latencies"):
         check(isinstance(metrics.get(key), dict), f"metrics.{key} must be an object")
     for name, lat in metrics["latencies"].items():
         for key in ("count", "sum_ns", "max_ns", "p50_ns", "p90_ns", "p99_ns",

@@ -82,11 +82,6 @@ class BspSimulation {
 
   [[nodiscard]] RunReport finish();
 
-  /// Iterations completed so far.
-  [[nodiscard]] std::size_t iterations_done() const {
-    return report_.iterations.size();
-  }
-
  private:
   MachineId num_machines_;
   CostModel model_;

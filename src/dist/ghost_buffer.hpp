@@ -59,7 +59,6 @@ class GhostBuffer {
   }
 
   [[nodiscard]] Val value(std::size_t ghost) const { return val_[ghost]; }
-  [[nodiscard]] std::size_t dirty_count() const { return dirty_list_.size(); }
 
   /// Visit every dirty slot as f(ghost, value), clear the dirty marks, and
   /// return the slots to idle — unless keep_values (CC keeps the flushed

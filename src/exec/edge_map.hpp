@@ -146,23 +146,14 @@ Executor::RunStats process_edges_pull(Executor& ex, const ChunkScheduler& plan,
   });
 }
 
-/// Push-mode edge processing over a frontier. Sparse frontiers need a plan
-/// built over the active list (ChunkScheduler::over_list on
-/// frontier.active()); dense frontiers a plan over the vertex range, with
-/// inactive vertices filtered here. emit(worker, v) scatters through a
-/// ScatterShards the caller merges afterwards.
+/// Push-mode edge processing over a frontier's active list; the plan must
+/// be built over that list (ChunkScheduler::over_list on
+/// frontier.active()). emit(worker, v) scatters through a ScatterShards the
+/// caller merges afterwards.
 template <typename EmitFn>
 Executor::RunStats process_edges_push(Executor& ex, const ChunkScheduler& plan,
                                       const Frontier& frontier,
                                       EmitFn&& emit) {
-  if (frontier.dense()) {
-    return ex.run(plan, [&frontier, &emit](unsigned w, std::uint32_t,
-                                           std::uint32_t lo,
-                                           std::uint32_t hi) {
-      for (std::uint32_t v = lo; v < hi; ++v)
-        if (frontier.contains(v)) emit(w, v);
-    });
-  }
   const std::span<const graph::VertexId> list = frontier.active();
   return ex.run(plan, [list, &emit](unsigned w, std::uint32_t,
                                     std::uint32_t lo, std::uint32_t hi) {

@@ -9,19 +9,10 @@ void Frontier::reset(graph::VertexId universe) {
   list_.clear();
   size_ = 0;
   edge_mass_ = 0;
-  dense_ = false;
-}
-
-void Frontier::to_sparse() {
-  list_.clear();
-  list_.reserve(size_);
-  for (graph::VertexId v = 0; v < flags_.size(); ++v)
-    if (flags_[v] != 0) list_.push_back(v);
-  dense_ = false;
 }
 
 void Frontier::clear() {
-  if (dense_ || list_.size() * 4 > flags_.size()) {
+  if (list_.size() * 4 > flags_.size()) {
     std::fill(flags_.begin(), flags_.end(), 0);
   } else {
     for (const graph::VertexId v : list_) flags_[v] = 0;
@@ -32,12 +23,13 @@ void Frontier::clear() {
 }
 
 bool choose_pull(std::uint64_t frontier_edges, std::uint64_t frontier_vertices,
-                 std::uint64_t total_edges, std::uint64_t total_vertices,
-                 double alpha, double beta) {
+                 std::uint64_t total_edges, std::uint64_t total_vertices) {
+  constexpr double kAlpha = 14.0;
+  constexpr double kBeta = 24.0;
   const bool dense_edges = static_cast<double>(frontier_edges) >
-                           static_cast<double>(total_edges) / alpha;
+                           static_cast<double>(total_edges) / kAlpha;
   const bool big_frontier = static_cast<double>(frontier_vertices) >
-                            static_cast<double>(total_vertices) / beta;
+                            static_cast<double>(total_vertices) / kBeta;
   return dense_edges || big_frontier;
 }
 

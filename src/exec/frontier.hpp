@@ -1,15 +1,9 @@
-// Active-vertex frontier with two interchangeable representations.
+// Active-vertex frontier: an append-ordered list of active ids (what
+// frontier-driven engines iterate) plus a membership byte-map (what
+// pull-mode scans test).
 //
-// Sparse: an append-ordered list of active ids plus a membership byte-map
-// (the list is what frontier-driven engines iterate; to_sparse() rebuilds
-// it in ascending order). Dense: the byte-map alone — the shape pull-mode
-// scans want, and cheaper than the list once most vertices are active.
-// Conversions are lossless either way, and the membership test, size and
-// accumulated edge mass are representation-independent.
-//
-// choose_pull() is the Beamer-style sparse/dense (push/pull) switch that
-// used to live inline in engine/bfs.cpp: go dense when the frontier's edge
-// mass passes |E|/alpha or its vertex count passes |V|/beta.
+// choose_pull() is the Beamer-style push/pull switch: go pull when the
+// frontier's edge mass passes |E|/14 or its vertex count passes |V|/24.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +11,6 @@
 #include <vector>
 
 #include "graph/types.hpp"
-#include "util/check.hpp"
 
 namespace bpart::exec {
 
@@ -27,7 +20,7 @@ class Frontier {
   explicit Frontier(graph::VertexId universe) { reset(universe); }
 
   /// Deactivate everything and (re)size to `universe` vertices. Keeps the
-  /// allocation; representation returns to sparse.
+  /// allocation.
   void reset(graph::VertexId universe);
 
   /// Activate v, attributing `edges` to the frontier's edge mass. Adding
@@ -37,7 +30,7 @@ class Frontier {
     flags_[v] = 1;
     ++size_;
     edge_mass_ += edges;
-    if (!dense_) list_.push_back(v);
+    list_.push_back(v);
   }
 
   [[nodiscard]] bool contains(graph::VertexId v) const {
@@ -45,31 +38,15 @@ class Frontier {
   }
   [[nodiscard]] graph::VertexId size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] graph::VertexId universe() const {
-    return static_cast<graph::VertexId>(flags_.size());
-  }
   /// Sum of the `edges` arguments passed to add() since the last clear.
   [[nodiscard]] std::uint64_t edge_mass() const { return edge_mass_; }
 
-  [[nodiscard]] bool dense() const { return dense_; }
-
-  /// Drop the list; membership lives in the byte-map only.
-  void to_dense() {
-    dense_ = true;
-    list_.clear();
-  }
-
-  /// Rebuild the active list in ascending vertex order from the byte-map.
-  void to_sparse();
-
-  /// The active list (sparse representation only). Append-ordered unless
-  /// the frontier just came out of to_sparse(), which sorts it.
+  /// The active list, in the order the vertices were added.
   [[nodiscard]] std::span<const graph::VertexId> active() const {
-    BPART_CHECK_MSG(!dense_, "active() needs the sparse representation");
     return list_;
   }
 
-  /// Deactivate everything, keeping universe and representation.
+  /// Deactivate everything, keeping the universe.
   void clear();
 
   void swap(Frontier& other) noexcept {
@@ -77,7 +54,6 @@ class Frontier {
     list_.swap(other.list_);
     std::swap(size_, other.size_);
     std::swap(edge_mass_, other.edge_mass_);
-    std::swap(dense_, other.dense_);
   }
 
  private:
@@ -85,16 +61,14 @@ class Frontier {
   std::vector<graph::VertexId> list_;
   graph::VertexId size_ = 0;
   std::uint64_t edge_mass_ = 0;
-  bool dense_ = false;
 };
 
-/// Gemini/Beamer direction choice (the predicate previously private to
-/// engine/bfs.cpp): pull when the frontier's out-edge mass exceeds
-/// |E|/alpha or its population exceeds |V|/beta.
+/// Gemini/Beamer direction choice with Beamer's alpha = 14, beta = 24: pull
+/// when the frontier's out-edge mass exceeds |E|/14 or its population
+/// exceeds |V|/24.
 [[nodiscard]] bool choose_pull(std::uint64_t frontier_edges,
                                std::uint64_t frontier_vertices,
                                std::uint64_t total_edges,
-                               std::uint64_t total_vertices, double alpha,
-                               double beta);
+                               std::uint64_t total_vertices);
 
 }  // namespace bpart::exec

@@ -4,7 +4,6 @@
 #include <deque>
 #include <numeric>
 
-#include "util/check.hpp"
 #include "util/stats.hpp"
 
 namespace bpart::graph {
@@ -65,24 +64,6 @@ std::vector<VertexId> connected_components(const Graph& g) {
 VertexId count_components(const std::vector<VertexId>& labels) {
   if (labels.empty()) return 0;
   return *std::max_element(labels.begin(), labels.end()) + 1;
-}
-
-std::vector<bool> reachable_from(const Graph& g, VertexId source) {
-  BPART_CHECK(source < g.num_vertices());
-  std::vector<bool> seen(g.num_vertices(), false);
-  std::deque<VertexId> queue{source};
-  seen[source] = true;
-  while (!queue.empty()) {
-    const VertexId v = queue.front();
-    queue.pop_front();
-    for (VertexId u : g.out_neighbors(v)) {
-      if (!seen[u]) {
-        seen[u] = true;
-        queue.push_back(u);
-      }
-    }
-  }
-  return seen;
 }
 
 }  // namespace bpart::graph

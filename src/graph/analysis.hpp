@@ -35,7 +35,4 @@ std::vector<VertexId> connected_components(const Graph& g);
 /// Number of distinct labels in a component labeling.
 VertexId count_components(const std::vector<VertexId>& labels);
 
-/// Vertices reachable from `source` following out-edges (BFS).
-std::vector<bool> reachable_from(const Graph& g, VertexId source);
-
 }  // namespace bpart::graph

@@ -29,7 +29,6 @@ namespace {
 struct Registry {
   std::mutex mu;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges;
   std::map<std::string, std::unique_ptr<LatencyHistogram>, std::less<>>
       latencies;
 };
@@ -91,13 +90,6 @@ Counter& counter(std::string_view name) {
   });
 }
 
-Gauge& gauge(std::string_view name) {
-  Registry& r = registry();
-  return find_or_create(r.gauges, r.mu, name, [](std::string n) {
-    return std::make_unique<Gauge>(std::move(n));
-  });
-}
-
 LatencyHistogram& latency(std::string_view name) {
   Registry& r = registry();
   return find_or_create(r.latencies, r.mu, name, [](std::string n) {
@@ -136,9 +128,6 @@ MetricsSnapshot metrics_snapshot() {
   snap.counters.reserve(r.counters.size());
   for (const auto& [name, c] : r.counters)
     snap.counters.push_back({name, c->value()});
-  snap.gauges.reserve(r.gauges.size());
-  for (const auto& [name, g] : r.gauges)
-    snap.gauges.push_back({name, g->value()});
   snap.latencies.reserve(r.latencies.size());
   for (const auto& [name, l] : r.latencies) {
     MetricsSnapshot::LatencySample s;
@@ -159,7 +148,6 @@ void metrics_reset() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
   for (auto& [name, c] : r.counters) c->reset();
-  for (auto& [name, g] : r.gauges) g->set(0);
   for (auto& [name, l] : r.latencies) l->reset();
 }
 

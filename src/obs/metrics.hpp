@@ -1,5 +1,5 @@
-// Process-wide metrics registry: counters, gauges and log-scale latency
-// histograms, aggregated on demand into a typed snapshot.
+// Process-wide metrics registry: counters and log-scale latency histograms,
+// aggregated on demand into a typed snapshot.
 //
 // Hot-path writes never take the registry lock: counters and latency
 // histograms fan increments out over cache-line-padded atomic stripes
@@ -64,30 +64,6 @@ class Counter {
  private:
   std::string name_;
   std::array<detail::StripedCell, kMetricStripes> cells_;
-};
-
-/// Last-write-wins double value (queue depths, config knobs, ratios).
-class Gauge {
- public:
-  explicit Gauge(std::string name) : name_(std::move(name)) {}
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
-  void set(double v) noexcept { v_.store(v, std::memory_order_relaxed); }
-  void add(double delta) noexcept {
-    double cur = v_.load(std::memory_order_relaxed);
-    while (!v_.compare_exchange_weak(cur, cur + delta,
-                                     std::memory_order_relaxed)) {
-    }
-  }
-  [[nodiscard]] double value() const noexcept {
-    return v_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] const std::string& name() const { return name_; }
-
- private:
-  std::string name_;
-  std::atomic<double> v_{0.0};
 };
 
 /// Log2-bucketed latency recorder in nanoseconds: bucket b holds samples in
@@ -161,7 +137,6 @@ class ScopedLatency {
 /// Registry lookups: find-or-create by name. The returned reference is
 /// valid for the life of the process.
 Counter& counter(std::string_view name);
-Gauge& gauge(std::string_view name);
 LatencyHistogram& latency(std::string_view name);
 
 /// Aggregated point-in-time view of every registered metric, sorted by
@@ -171,10 +146,6 @@ struct MetricsSnapshot {
   struct CounterSample {
     std::string name;
     std::uint64_t value = 0;
-  };
-  struct GaugeSample {
-    std::string name;
-    double value = 0;
   };
   struct LatencySample {
     std::string name;
@@ -188,7 +159,6 @@ struct MetricsSnapshot {
   };
 
   std::vector<CounterSample> counters;
-  std::vector<GaugeSample> gauges;
   std::vector<LatencySample> latencies;
 };
 

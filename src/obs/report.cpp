@@ -80,30 +80,6 @@ std::string run_report_json(const cluster::RunReport& r) {
   return w.str();
 }
 
-cluster::RunReport run_report_from_json(const json::Value& v) {
-  cluster::RunReport r;
-  r.num_machines =
-      static_cast<cluster::MachineId>(v.at("num_machines").as_uint());
-  for (const json::Value& itv : v.at("iterations").as_array()) {
-    cluster::IterationReport it;
-    it.duration_seconds = itv.at("duration_seconds").as_double();
-    for (const json::Value& mv : itv.at("machines").as_array()) {
-      cluster::MachineIterationStats m;
-      m.work_items = mv.at("work_items").as_uint();
-      m.messages_sent = mv.at("messages_sent").as_uint();
-      m.messages_received = mv.at("messages_received").as_uint();
-      m.bytes_sent = mv.at("bytes_sent").as_uint();
-      m.bytes_received = mv.at("bytes_received").as_uint();
-      m.compute_seconds = mv.at("compute_seconds").as_double();
-      m.comm_seconds = mv.at("comm_seconds").as_double();
-      m.wait_seconds = mv.at("wait_seconds").as_double();
-      it.machines.push_back(m);
-    }
-    r.iterations.push_back(std::move(it));
-  }
-  return r;
-}
-
 void write_quality(json::Writer& w, const partition::QualityReport& q) {
   w.begin_object();
   w.key("vertex_counts").begin_array();
@@ -146,9 +122,6 @@ void write_metrics(json::Writer& w, const MetricsSnapshot& m) {
   w.begin_object();
   w.key("counters").begin_object();
   for (const auto& c : m.counters) w.kv(c.name, c.value);
-  w.end_object();
-  w.key("gauges").begin_object();
-  for (const auto& g : m.gauges) w.kv(g.name, g.value);
   w.end_object();
   w.key("latencies").begin_object();
   for (const auto& l : m.latencies) {

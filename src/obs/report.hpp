@@ -31,17 +31,13 @@ void write_summary(json::Writer& w, const stats::Summary& s);
 void write_run_report(json::Writer& w, const cluster::RunReport& r);
 std::string run_report_json(const cluster::RunReport& r);
 
-/// Inverse of write_run_report (totals are ignored — they are derived).
-/// Throws std::runtime_error on schema mismatch.
-cluster::RunReport run_report_from_json(const json::Value& v);
-
 /// partition::QualityReport -> counts, summaries and edge-cut ratio.
 void write_quality(json::Writer& w, const partition::QualityReport& q);
 
 /// pipeline::PipelineReport -> per-stage seconds and cache-hit flags.
 void write_pipeline_report(json::Writer& w, const pipeline::PipelineReport& r);
 
-/// MetricsSnapshot -> {"counters":{name:value},"gauges":{name:value},
+/// MetricsSnapshot -> {"counters":{name:value},
 /// "latencies":{name:{count,sum_ns,max_ns,p50_ns,...,buckets:[[lo,count]]}}}
 void write_metrics(json::Writer& w, const MetricsSnapshot& m);
 std::string metrics_json(const MetricsSnapshot& m);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
 
 #include "util/check.hpp"
 
@@ -64,17 +63,6 @@ std::uint64_t min_pairwise_connectivity(const graph::Graph& g,
     for (PartId j = i + 1; j < k; ++j)
       min_pair = std::min(min_pair, m[i][j] + m[j][i]);
   return min_pair;
-}
-
-std::string describe(const QualityReport& r) {
-  std::ostringstream os;
-  os << "parts=" << r.vertex_counts.size()
-     << " vertex_bias=" << r.vertex_summary.bias
-     << " edge_bias=" << r.edge_summary.bias
-     << " vertex_fairness=" << r.vertex_summary.fairness
-     << " edge_fairness=" << r.edge_summary.fairness
-     << " cut_ratio=" << r.edge_cut_ratio;
-  return os.str();
 }
 
 }  // namespace bpart::partition

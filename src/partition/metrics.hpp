@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -41,8 +40,5 @@ std::vector<std::vector<std::uint64_t>> cut_matrix(const graph::Graph& g,
 /// two subgraphs" measurement.
 std::uint64_t min_pairwise_connectivity(const graph::Graph& g,
                                         const Partition& p);
-
-/// Human-readable one-liner used in logs and examples.
-std::string describe(const QualityReport& r);
 
 }  // namespace bpart::partition

@@ -386,11 +386,6 @@ bool ArtifactStore::has_graph(const CacheKey& key) const {
   return fs::exists(dir_ + "/" + key.hex() + kind_ext(kKindGraph), ec);
 }
 
-bool ArtifactStore::has_partition(const CacheKey& key) const {
-  std::error_code ec;
-  return fs::exists(dir_ + "/" + key.hex() + kind_ext(kKindPartition), ec);
-}
-
 bool ArtifactStore::has_perm(const CacheKey& key) const {
   std::error_code ec;
   return fs::exists(dir_ + "/" + key.hex() + kind_ext(kKindPerm), ec);

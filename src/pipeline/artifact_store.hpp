@@ -101,7 +101,6 @@ class ArtifactStore {
                   const std::vector<graph::VertexId>& perm) const;
 
   [[nodiscard]] bool has_graph(const CacheKey& key) const;
-  [[nodiscard]] bool has_partition(const CacheKey& key) const;
   [[nodiscard]] bool has_perm(const CacheKey& key) const;
 
   /// Delete every artifact in the store. Returns the number removed.

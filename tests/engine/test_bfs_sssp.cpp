@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "engine/bfs.hpp"
 #include "engine/sssp.hpp"
 #include "graph/generators.hpp"
 #include "partition/chunk.hpp"
 #include "partition/hash_partitioner.hpp"
-#include "util/check.hpp"
 
 namespace bpart::engine {
 namespace {
@@ -17,46 +15,6 @@ Graph path_of(graph::VertexId n) {
   EdgeList el;
   for (graph::VertexId v = 0; v + 1 < n; ++v) el.add_undirected(v, v + 1);
   return Graph::from_edges(el);
-}
-
-TEST(Bfs, DistancesOnPath) {
-  const Graph g = path_of(10);
-  const auto res = bfs(g, partition::ChunkV().partition(g, 2), 0);
-  for (graph::VertexId v = 0; v < 10; ++v) EXPECT_EQ(res.distance[v], v);
-}
-
-TEST(Bfs, UnreachableMarked) {
-  EdgeList el;
-  el.add_undirected(0, 1);
-  el.add_undirected(2, 3);
-  const Graph g = Graph::from_edges(el);
-  const auto res = bfs(g, partition::ChunkV().partition(g, 2), 0);
-  EXPECT_EQ(res.distance[1], 1u);
-  EXPECT_EQ(res.distance[2], BfsResult::kUnreachable);
-}
-
-TEST(Bfs, IterationsEqualEccentricity) {
-  const Graph g = path_of(16);
-  const auto res = bfs(g, partition::ChunkV().partition(g, 4), 0);
-  // Frontier advances one hop per superstep; the last superstep discovers
-  // nothing new but is still executed. 15 hops -> 15 or 16 iterations.
-  EXPECT_GE(res.run.iterations.size(), 15u);
-  EXPECT_LE(res.run.iterations.size(), 16u);
-}
-
-TEST(Bfs, RejectsBadSource) {
-  const Graph g = path_of(4);
-  EXPECT_THROW(bfs(g, partition::ChunkV().partition(g, 2), 99), CheckError);
-}
-
-TEST(Bfs, ResultIndependentOfPartition) {
-  graph::RmatConfig cfg;
-  cfg.scale = 9;
-  const Graph g = Graph::from_edges_symmetric(graph::rmat(cfg));
-  const auto a = bfs(g, partition::ChunkV().partition(g, 2), 5);
-  const auto b = bfs(g, partition::HashPartitioner().partition(g, 8), 5);
-  for (graph::VertexId v = 0; v < g.num_vertices(); v += 17)
-    EXPECT_EQ(a.distance[v], b.distance[v]);
 }
 
 TEST(Sssp, WeightsAreDeterministicAndInRange) {

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "exec/frontier.hpp"
 
 namespace bpart::exec {
@@ -28,34 +26,9 @@ TEST(Frontier, DuplicateAddIsNoOp) {
   EXPECT_EQ(f.active().size(), 1u);
 }
 
-TEST(Frontier, SparseDenseRoundTripPreservesMembership) {
-  Frontier f(100);
-  const std::vector<graph::VertexId> members = {90, 5, 42, 7, 99};
-  for (const graph::VertexId v : members) f.add(v);
-
-  f.to_dense();
-  EXPECT_TRUE(f.dense());
-  for (const graph::VertexId v : members) EXPECT_TRUE(f.contains(v));
-  EXPECT_EQ(f.size(), members.size());
-  // Adds keep working while dense.
-  f.add(1);
-  EXPECT_EQ(f.size(), members.size() + 1);
-
-  f.to_sparse();
-  EXPECT_FALSE(f.dense());
-  const auto active = f.active();
-  ASSERT_EQ(active.size(), members.size() + 1);
-  // to_sparse rebuilds in ascending order.
-  for (std::size_t i = 1; i < active.size(); ++i)
-    EXPECT_LT(active[i - 1], active[i]);
-  EXPECT_EQ(active.front(), 1u);
-  EXPECT_EQ(active.back(), 99u);
-}
-
 TEST(Frontier, ClearEmptiesBothRepresentations) {
   Frontier f(50);
   for (graph::VertexId v = 0; v < 50; v += 2) f.add(v, 1);
-  f.to_dense();
   f.clear();
   EXPECT_TRUE(f.empty());
   EXPECT_EQ(f.edge_mass(), 0u);
@@ -80,12 +53,14 @@ TEST(Frontier, SwapExchangesEverything) {
 }
 
 TEST(ChoosePull, MatchesBeamerPredicate) {
-  // alpha = 20: pull once frontier edge mass exceeds |E|/20.
-  EXPECT_FALSE(choose_pull(4, 1, 100, 1000, 20.0, 20.0));
-  EXPECT_TRUE(choose_pull(6, 1, 100, 1000, 20.0, 20.0));
-  // beta = 20: pull once the frontier exceeds |V|/20 vertices.
-  EXPECT_FALSE(choose_pull(0, 50, 100000, 1000, 20.0, 20.0));
-  EXPECT_TRUE(choose_pull(0, 51, 100000, 1000, 20.0, 20.0));
+  // alpha = 14: pull once frontier edge mass exceeds |E|/14 = 100.
+  EXPECT_FALSE(choose_pull(99, 1, 1400, 100000));
+  EXPECT_FALSE(choose_pull(100, 1, 1400, 100000));
+  EXPECT_TRUE(choose_pull(101, 1, 1400, 100000));
+  // beta = 24: pull once the frontier exceeds |V|/24 = 100 vertices.
+  EXPECT_FALSE(choose_pull(0, 99, 100000, 2400));
+  EXPECT_FALSE(choose_pull(0, 100, 100000, 2400));
+  EXPECT_TRUE(choose_pull(0, 101, 100000, 2400));
 }
 
 }  // namespace

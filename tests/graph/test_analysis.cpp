@@ -6,7 +6,6 @@
 #include <set>
 
 #include "graph/generators.hpp"
-#include "util/check.hpp"
 
 namespace bpart::graph {
 namespace {
@@ -90,24 +89,6 @@ TEST(ConnectedComponents, LabelsAreDense) {
 
 TEST(CountComponents, EmptyGraph) {
   EXPECT_EQ(count_components({}), 0u);
-}
-
-TEST(ReachableFrom, FollowsOutEdgesOnly) {
-  EdgeList el;
-  el.add(0, 1);
-  el.add(1, 2);
-  el.add(3, 1);  // 3 reaches 1 but 0 does not reach 3
-  const Graph g = Graph::from_edges(el);
-  const auto seen = reachable_from(g, 0);
-  EXPECT_TRUE(seen[0]);
-  EXPECT_TRUE(seen[1]);
-  EXPECT_TRUE(seen[2]);
-  EXPECT_FALSE(seen[3]);
-}
-
-TEST(ReachableFrom, RejectsOutOfRangeSource) {
-  const Graph g = Graph::from_edges(two_triangles());
-  EXPECT_THROW(reachable_from(g, 100), CheckError);
 }
 
 TEST(Analyze, RmatGiantComponentExists) {

@@ -6,6 +6,8 @@
 
 #include "obs/json.hpp"
 
+#include "json_reader.hpp"
+
 namespace bpart::obs {
 namespace {
 

@@ -34,19 +34,6 @@ TEST(Counter, AggregatesAcrossThreads) {
   EXPECT_EQ(c.value(), kThreads * kPerThread);
 }
 
-TEST(Gauge, SetAndAddFromThreads) {
-  Gauge g("test.gauge");
-  g.set(1.5);
-  EXPECT_DOUBLE_EQ(g.value(), 1.5);
-  std::vector<std::thread> threads;
-  for (unsigned t = 0; t < 4; ++t)
-    threads.emplace_back([&g] {
-      for (int i = 0; i < 1000; ++i) g.add(0.5);
-    });
-  for (auto& t : threads) t.join();
-  EXPECT_DOUBLE_EQ(g.value(), 1.5 + 4 * 1000 * 0.5);
-}
-
 TEST(LatencyHistogram, CountSumMaxAndBuckets) {
   LatencyHistogram h("test.latency");
   h.record_ns(0);
@@ -97,9 +84,6 @@ TEST(Registry, FindOrCreateReturnsSameHandle) {
   Counter& a = counter("test.registry.counter");
   Counter& b = counter("test.registry.counter");
   EXPECT_EQ(&a, &b);
-  Gauge& g1 = gauge("test.registry.gauge");
-  Gauge& g2 = gauge("test.registry.gauge");
-  EXPECT_EQ(&g1, &g2);
   LatencyHistogram& l1 = latency("test.registry.latency");
   LatencyHistogram& l2 = latency("test.registry.latency");
   EXPECT_EQ(&l1, &l2);
@@ -123,7 +107,6 @@ TEST(Registry, ConcurrentLookupsOfSameName) {
 TEST(Snapshot, ContainsRegisteredMetricsWithQuantiles) {
   metrics_reset();
   counter("test.snapshot.counter").add(7);
-  gauge("test.snapshot.gauge").set(2.5);
   LatencyHistogram& lat = latency("test.snapshot.latency");
   for (int i = 0; i < 100; ++i) lat.record_ns(1000);
 
@@ -135,14 +118,6 @@ TEST(Snapshot, ContainsRegisteredMetricsWithQuantiles) {
       EXPECT_EQ(c.value, 7u);
     }
   EXPECT_TRUE(found_counter);
-
-  bool found_gauge = false;
-  for (const auto& g : snap.gauges)
-    if (g.name == "test.snapshot.gauge") {
-      found_gauge = true;
-      EXPECT_DOUBLE_EQ(g.value, 2.5);
-    }
-  EXPECT_TRUE(found_gauge);
 
   bool found_latency = false;
   for (const auto& l : snap.latencies)

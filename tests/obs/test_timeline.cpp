@@ -8,8 +8,9 @@
 
 #include "cluster/bsp.hpp"
 #include "obs/attrib.hpp"
-#include "obs/json.hpp"
 #include "obs/timeline.hpp"
+
+#include "json_reader.hpp"
 
 namespace bpart::obs {
 namespace {

@@ -6,8 +6,9 @@
 #include <thread>
 #include <vector>
 
-#include "obs/json.hpp"
 #include "obs/trace.hpp"
+
+#include "json_reader.hpp"
 
 namespace bpart::obs {
 namespace {

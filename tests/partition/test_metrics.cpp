@@ -115,12 +115,5 @@ TEST(Evaluate, AggregatesAllMetrics) {
   EXPECT_DOUBLE_EQ(r.edge_cut_ratio, 0.5);
 }
 
-TEST(Evaluate, DescribeMentionsKeyNumbers) {
-  const QualityReport r = evaluate(square(), split_square_adjacent());
-  const std::string s = describe(r);
-  EXPECT_NE(s.find("parts=2"), std::string::npos);
-  EXPECT_NE(s.find("cut_ratio=0.5"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace bpart::partition

@@ -15,7 +15,6 @@
 #include "walk/ppr_estimate.hpp"
 #include "util/rng.hpp"
 #include "walk/walk_engine.hpp"
-#include "walk/weighted_walk.hpp"
 
 namespace bpart::walk {
 namespace {
@@ -190,21 +189,6 @@ TEST(StepRngBatch, WithFirstDrawReplaysTheKeyedStream) {
     for (int i = 0; i < 32; ++i)
       ASSERT_EQ(batched.next(), keyed.next()) << "slot " << j << " draw " << i;
   }
-}
-
-TEST_F(ParallelWalk, WeightedWalkParallelTablesMatchSequential) {
-  WeightedWalkConfig seq_cfg;
-  seq_cfg.exec.threads = 1;
-  const WeightedRandomWalk seq_app(*graph_, seq_cfg);
-  WeightedWalkConfig par_cfg;
-  par_cfg.exec.threads = 3;
-  par_cfg.exec.chunk_edges = 128;
-  const WeightedRandomWalk par_app(*graph_, par_cfg);
-  for (graph::VertexId v = 0; v < graph_->num_vertices(); ++v)
-    for (graph::EdgeId k = 0; k < graph_->out_degree(v); ++k)
-      ASSERT_EQ(par_app.transition_probability(v, k),
-                seq_app.transition_probability(v, k))
-          << "vertex " << v << " edge " << k;
 }
 
 }  // namespace
