@@ -10,8 +10,10 @@ Run from anywhere: paths resolve relative to this script. CI runs it as a
 step of the observability-smoke job; it needs only a Python interpreter.
 """
 
+import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent
@@ -81,6 +83,15 @@ def main() -> None:
     expect("v1.1 fresh validates",
            run("validate_obs.py", "bench",
                str(GOLDEN / "compare_ok.json")), 0)
+    # Fresh reports carry no meta.seed; older ones (the goldens) do, and
+    # both shapes must validate.
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = json.loads((GOLDEN / "compare_ok.json").read_text())
+        del doc["meta"]["seed"]
+        unseeded = Path(tmp) / "unseeded.json"
+        unseeded.write_text(json.dumps(doc))
+        expect("v1.1 without meta.seed validates",
+               run("validate_obs.py", "bench", str(unseeded)), 0)
 
     print("bpart_prof.py check:")
     expect("consistent timeline passes",

@@ -112,8 +112,7 @@ def validate_bench(path: str) -> None:
     if doc.get("schema") != BENCH_SCHEMAS[0]:  # meta is the v1.1 addition
         meta = doc.get("meta")
         check(isinstance(meta, dict), "v1.1 report missing meta object")
-        for key in ("thread_count", "dataset_scale", "seed", "build_type",
-                    "env"):
+        for key in ("thread_count", "dataset_scale", "build_type", "env"):
             check(key in meta, f"meta missing {key!r}")
         check(meta["build_type"] in ("release", "debug"),
               f"meta.build_type {meta['build_type']!r} invalid")

@@ -21,7 +21,6 @@ void write_meta(json::Writer& w) {
   w.key("meta").begin_object();
   w.kv("thread_count", static_cast<std::uint64_t>(thread_count()));
   w.kv("dataset_scale", dataset_scale());
-  w.kv("seed", global_seed());
 #ifdef NDEBUG
   w.kv("build_type", "release");
 #else
@@ -30,8 +29,8 @@ void write_meta(json::Writer& w) {
   w.kv("pid", static_cast<std::int64_t>(::getpid()));
   w.key("env").begin_object();
   static constexpr const char* kKnobs[] = {
-      "BPART_THREADS", "BPART_SCALE",   "BPART_SEED",     "BPART_EXEC_THREADS",
-      "BPART_TRACE",   "BPART_METRICS", "BPART_TIMELINE",
+      "BPART_THREADS", "BPART_SCALE",    "BPART_EXEC_THREADS", "BPART_TRACE",
+      "BPART_METRICS", "BPART_TIMELINE",
   };
   for (const char* knob : kKnobs) {
     if (const char* v = std::getenv(knob); v != nullptr) w.kv(knob, v);

@@ -7,7 +7,7 @@
 //     "schema": "bpart-bench-report/v1.1",
 //     "name": "dist_runtime",
 //     "created_unix": 1754550000,
-//     "meta": {"thread_count": 8, "dataset_scale": 1.0, "seed": 17,
+//     "meta": {"thread_count": 8, "dataset_scale": 1.0,
 //              "build_type": "release", "pid": 1234,
 //              "env": {"BPART_THREADS": "8", ...}},
 //     "info": {"title": "...", "dataset_scale": 1.0, ...},
@@ -20,7 +20,7 @@
 // runs/quality/pipeline are present only when attached; metrics snapshots
 // whatever the process has recorded at write time. The meta block is
 // auto-emitted provenance (the v1 -> v1.1 schema bump): effective thread
-// count / scale / seed, the build type, and every BPART_* knob that was
+// count and scale, the build type, and every BPART_* knob that was
 // actually set in the environment — enough to re-run the measurement.
 #pragma once
 

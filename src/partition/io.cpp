@@ -16,6 +16,29 @@ bool parse_u32(std::string_view tok, std::uint32_t& out) {
   const auto res = std::from_chars(tok.data(), tok.data() + tok.size(), out);
   return res.ec == std::errc{} && res.ptr == tok.data() + tok.size();
 }
+
+/// Line with its trailing CRs and spaces stripped.
+std::string_view trimmed(const std::string& line) {
+  std::string_view sv(line);
+  while (!sv.empty() && (sv.back() == '\r' || sv.back() == ' '))
+    sv.remove_suffix(1);
+  return sv;
+}
+
+/// Reads "# bpart partition: <n> vertices, <k> parts", each count one whole
+/// uint32 token (so a sign or a count past 2^32 - 1 fails).
+bool parse_header(std::string_view sv, graph::VertexId& n, PartId& k) {
+  constexpr std::string_view kHead = "# bpart partition: ";
+  constexpr std::string_view kMid = " vertices, ";
+  constexpr std::string_view kTail = " parts";
+  if (!sv.starts_with(kHead)) return false;
+  sv.remove_prefix(kHead.size());
+  if (!sv.ends_with(kTail)) return false;
+  sv.remove_suffix(kTail.size());
+  const auto mid = sv.find(kMid);
+  return mid != std::string_view::npos && parse_u32(sv.substr(0, mid), n) &&
+         parse_u32(sv.substr(mid + kMid.size()), k);
+}
 }  // namespace
 
 void save_partition(const Partition& p, const std::string& path) {
@@ -40,16 +63,13 @@ Partition load_partition(const std::string& path) {
   PartId k = 0;
   if (!std::getline(f, line)) fail(path + ": empty file");
   ++line_no;
-  if (std::sscanf(line.c_str(), "# bpart partition: %u vertices, %u parts",
-                  &n, &k) != 2)
-    fail(path + ":1: missing 'bpart partition' header");
+  if (!parse_header(trimmed(line), n, k))
+    fail(path + ":1: expected '# bpart partition: <n> vertices, <k> parts'");
 
   Partition p(n, k);
   while (std::getline(f, line)) {
     ++line_no;
-    std::string_view sv(line);
-    while (!sv.empty() && (sv.back() == '\r' || sv.back() == ' '))
-      sv.remove_suffix(1);
+    const std::string_view sv = trimmed(line);
     if (sv.empty() || sv.front() == '#') continue;
     const auto sep = sv.find(' ');
     std::uint32_t v = 0, part = 0;

@@ -33,7 +33,7 @@ std::string revision_hex(const graph::Graph& g) {
 
 /// Cache-key suffix pinning the reorder stage. The seed only matters for
 /// the random shuffle, so it is folded in only there — degree/bfs keys stay
-/// stable across $BPART_SEED.
+/// stable across reorder_seed.
 std::string reorder_suffix(const PipelineConfig& cfg) {
   std::string s = std::string(":ro=") + reorder_mode_name(cfg.reorder);
   if (cfg.reorder == ReorderMode::kRandom)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <string>
 #include <thread>
 
@@ -112,11 +111,6 @@ unsigned thread_count(unsigned requested) {
 unsigned exec_threads() {
   return static_cast<unsigned>(
       int_knob("BPART_EXEC_THREADS", 1, 1, kMaxThreads));
-}
-
-std::uint64_t global_seed() {
-  return int_knob("BPART_SEED", 17, 0,
-                  std::numeric_limits<std::uint64_t>::max());
 }
 
 }  // namespace bpart

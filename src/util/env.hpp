@@ -60,10 +60,4 @@ unsigned thread_count(unsigned requested = 0);
 /// [1, 256]. Results do not depend on it, only speed does.
 unsigned exec_threads();
 
-/// Reproducibility seed of the `random` vertex reorder
-/// (PipelineConfig::reorder_seed) and of the bench reports' meta, read from
-/// $BPART_SEED on every call. Default 17, kept so runs without the knob
-/// reproduce previously recorded numbers. Any uint64 parses.
-std::uint64_t global_seed();
-
 }  // namespace bpart

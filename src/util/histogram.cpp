@@ -9,74 +9,6 @@
 
 namespace bpart {
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), bin_width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  BPART_CHECK_MSG(hi > lo, "histogram range must be non-empty");
-  BPART_CHECK(bins > 0);
-}
-
-void Histogram::add(double x, std::uint64_t count) {
-  total_ += count;
-  if (x < lo_) {
-    underflow_ += count;
-    return;
-  }
-  if (x >= hi_) {
-    overflow_ += count;
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / bin_width_);
-  if (idx >= counts_.size()) idx = counts_.size() - 1;  // float edge case
-  counts_[idx] += count;
-}
-
-std::uint64_t Histogram::bin_count(std::size_t i) const {
-  BPART_CHECK(i < counts_.size());
-  return counts_[i];
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + bin_width_ * static_cast<double>(i);
-}
-double Histogram::bin_hi(std::size_t i) const {
-  return lo_ + bin_width_ * static_cast<double>(i + 1);
-}
-
-double Histogram::quantile(double q) const {
-  BPART_CHECK(q >= 0.0 && q <= 1.0);
-  if (total_ == 0) return lo_;
-  const double target = q * static_cast<double>(total_);
-  double cum = static_cast<double>(underflow_);
-  if (cum >= target) return lo_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target && counts_[i] > 0) {
-      const double frac = (target - cum) / static_cast<double>(counts_[i]);
-      return bin_lo(i) + frac * bin_width_;
-    }
-    cum = next;
-  }
-  return hi_;
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar =
-        static_cast<std::size_t>(static_cast<double>(counts_[i]) /
-                                 static_cast<double>(peak) *
-                                 static_cast<double>(width));
-    os << "[" << bin_lo(i) << ", " << bin_hi(i) << ") "
-       << std::string(bar, '#') << " " << counts_[i] << "\n";
-  }
-  if (underflow_ > 0) os << "underflow: " << underflow_ << "\n";
-  if (overflow_ > 0) os << "overflow: " << overflow_ << "\n";
-  return os.str();
-}
-
 void LogHistogram::add(std::uint64_t x, std::uint64_t count) {
   const std::size_t bucket =
       x == 0 ? 0 : static_cast<std::size_t>(std::bit_width(x) - 1);

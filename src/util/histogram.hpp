@@ -1,7 +1,7 @@
-// Fixed-bin and logarithmic histograms.
+// Logarithmic histogram.
 //
 // Used for degree-distribution reporting (the scale-free property that
-// motivates the paper) and for summarising per-machine load distributions.
+// motivates the paper) and for the latency histograms' quantiles.
 #pragma once
 
 #include <cstdint>
@@ -9,38 +9,6 @@
 #include <vector>
 
 namespace bpart {
-
-/// Histogram over [lo, hi) with `bins` equal-width buckets plus an overflow
-/// bucket for samples >= hi and an underflow bucket for samples < lo.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, std::uint64_t count = 1);
-
-  [[nodiscard]] std::uint64_t bin_count(std::size_t i) const;
-  [[nodiscard]] std::uint64_t underflow() const { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
-
-  /// Approximate quantile (linear interpolation inside a bin).
-  [[nodiscard]] double quantile(double q) const;
-
-  /// Multi-line ASCII rendering with proportional bars; for bench output.
-  [[nodiscard]] std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  double bin_width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
-};
 
 /// Log2-bucketed histogram for heavy-tailed data (vertex degrees).
 /// Bucket i holds samples in [2^i, 2^(i+1)); bucket 0 additionally holds 0.

@@ -6,7 +6,6 @@
 #include <span>
 #include <utility>
 
-#include "dist/dist_graph.hpp"
 #include "dist/runtime.hpp"
 #include "exec/scheduler.hpp"
 #include "exec/simd.hpp"
@@ -27,7 +26,7 @@ constexpr unsigned kInFlight = 16;
 struct Walker {
   std::uint64_t id;
   std::uint32_t steps;
-  graph::VertexId at;  // global id in transit, local id while queued
+  graph::VertexId at;
 };
 
 /// One outgoing shipment: destination machine plus the walker in transit.
@@ -37,8 +36,7 @@ struct Outgoing {
 };
 
 struct WalkMachine {
-  std::vector<Walker> queue;  // walkers currently on this machine (local ids)
-  std::vector<graph::VertexId> targets;  // global_order_targets(subgraph)
+  std::vector<Walker> queue;  // walkers currently on this machine
   std::uint64_t total_steps = 0;
   std::uint64_t message_walks = 0;
   // Per-machine executor plus per-chunk outgoing buffers and step tallies,
@@ -48,37 +46,10 @@ struct WalkMachine {
   std::vector<std::uint64_t> chunk_steps;
 };
 
-/// Each owned vertex's local out-targets in *global*-id order, laid out at
-/// the subgraph CSR's offsets. The subgraph sorts each run by local id,
-/// which pushes every ghost neighbor behind the owned ones; the
-/// counter-stream contract needs draw index k to mean "k-th neighbor in
-/// global-id order", exactly as the single-machine engines index the
-/// global CSR. Each run is an owned half and a ghost half, both ascending
-/// by global id (local ids of either kind are numbered in global order),
-/// so one linear merge per run restores that order.
-std::vector<graph::VertexId> global_order_targets(
-    const partition::Subgraph& sub) {
-  std::vector<graph::VertexId> targets(sub.local.num_edges());
-  for (graph::VertexId lid = 0; lid < sub.num_local; ++lid) {
-    const auto run = sub.local.out_neighbors(lid);
-    const graph::EdgeId degree = run.size();
-    const auto split = static_cast<graph::EdgeId>(
-        std::lower_bound(run.begin(), run.end(), sub.num_local) - run.begin());
-    graph::VertexId* out = targets.data() + sub.local.out_offsets()[lid];
-    graph::EdgeId a = 0;
-    graph::EdgeId b = split;
-    while (a < split && b < degree)
-      *out++ = sub.global_id[run[a]] < sub.global_id[run[b]] ? run[a++]
-                                                             : run[b++];
-    while (a < split) *out++ = run[a++];
-    while (b < degree) *out++ = run[b++];
-  }
-  return targets;
-}
-
-/// Advances one chunk of queued walkers until each finishes, dead-ends or
-/// crosses (reported through `ship`), and returns the steps taken. Up to
-/// kInFlight walkers are in flight, advanced round-robin in two stages:
+/// Advances one chunk of machine `self`'s queued walkers over the global
+/// CSR until each finishes, dead-ends or crosses to a vertex another
+/// machine owns (reported through `ship`), and returns the steps taken. Up
+/// to kInFlight walkers are in flight, advanced round-robin in two stages:
 /// stage A reads the vertex's offsets (prefetched when the walker arrived
 /// there), draws, and prefetches the drawn target slot; stage B reads the
 /// target, counts the step, then ships, finishes or moves the walker and
@@ -88,8 +59,9 @@ std::vector<graph::VertexId> global_order_targets(
 /// on the chunk's walkers — not on the machine or worker thread running it.
 template <typename ShipFn>
 std::uint64_t advance_chunk(std::span<const Walker> walkers,
-                            const partition::Subgraph& sub,
-                            std::span<const graph::VertexId> targets,
+                            const graph::Graph& g,
+                            const partition::Partition& parts,
+                            cluster::MachineId self,
                             const ThreadedWalkConfig& cfg, ShipFn&& ship) {
   // Stage marker: a slot whose draw is kUndrawn is in stage A.
   constexpr graph::EdgeId kUndrawn = ~graph::EdgeId{0};
@@ -97,8 +69,9 @@ std::uint64_t advance_chunk(std::span<const Walker> walkers,
     Walker w;
     graph::EdgeId drawn;  // target slot drawn in stage A
   };
-  const auto offsets = sub.local.out_offsets();
-  const graph::VertexId num_local = sub.num_local;
+  const auto offsets = g.out_offsets();
+  const auto targets = g.out_targets();
+  const auto owner = parts.assignment();
 
   std::array<Slot, kInFlight> group{};
   std::size_t next = 0;
@@ -107,6 +80,7 @@ std::uint64_t advance_chunk(std::span<const Walker> walkers,
   auto admit = [&](Slot& slot) {
     while (next < walkers.size()) {
       const Walker& w = walkers[next++];
+      BPART_DCHECK(owner[w.at] == self);
       if (w.steps >= cfg.length) continue;  // arrived on its last step
       exec::simd::prefetch_read(&offsets[w.at]);
       slot = Slot{w, kUndrawn};
@@ -137,9 +111,8 @@ std::uint64_t advance_chunk(std::span<const Walker> walkers,
         s.drawn = kUndrawn;
         ++s.w.steps;
         ++steps;
-        if (to >= num_local) {
-          ship(sub.ghost_owner[to - num_local],
-               Walker{s.w.id, s.w.steps, sub.global_id[to]});
+        if (owner[to] != self) {
+          ship(owner[to], Walker{s.w.id, s.w.steps, to});
           done = true;
         } else if (s.w.steps >= cfg.length) {
           done = true;
@@ -168,22 +141,21 @@ DistWalkReport run_simple_walks_dist(const graph::Graph& g,
   const graph::VertexId n = g.num_vertices();
   const cluster::MachineId machines = parts.num_parts();
 
-  const dist::DistGraph dg(g, parts);
+  const std::vector<std::uint64_t> owned = parts.vertex_counts();
   std::vector<WalkMachine> state(machines);
   const unsigned exec_threads = cfg.exec.resolved_threads();
-  // Target table, initial walkers and executor are built on the worker
-  // thread that drives the machine. Walkers queue by round, then owned
-  // local id — the order of a global scan over (round, vertex).
+  // Initial walkers and executor are built on the worker thread that drives
+  // the machine. Walkers queue by round, then owned vertex id — the order of
+  // a global scan over (round, vertex).
   auto init_machine = [&](cluster::MachineId m) {
-    const partition::Subgraph& sub = dg.subgraph(m);
     WalkMachine& me = state[m];
-    me.targets = global_order_targets(sub);
     me.queue.reserve(static_cast<std::size_t>(cfg.walks_per_vertex) *
-                     sub.num_local);
+                     owned[m]);
     for (unsigned r = 0; r < cfg.walks_per_vertex; ++r)
-      for (graph::VertexId lid = 0; lid < sub.num_local; ++lid)
-        me.queue.push_back(Walker{
-            static_cast<std::uint64_t>(r) * n + sub.global_id[lid], 0, lid});
+      for (graph::VertexId v = 0; v < n; ++v)
+        if (parts[v] == m)
+          me.queue.push_back(
+              Walker{static_cast<std::uint64_t>(r) * n + v, 0, v});
     me.ex = std::make_unique<exec::Executor>(exec_threads);
   };
 
@@ -198,11 +170,7 @@ DistWalkReport run_simple_walks_dist(const graph::Graph& g,
   dist::RunResult run = dist::Runtime<Walker>::run(
       machines, rcfg, [&](dist::Runtime<Walker>::Context& ctx, std::size_t) {
         WalkMachine& me = state[ctx.self()];
-        const partition::Subgraph& sub = dg.subgraph(ctx.self());
-
-        ctx.for_each_message([&](const Walker& w) {
-          me.queue.push_back(Walker{w.id, w.steps, dg.owner_local(w.at)});
-        });
+        ctx.for_each_message([&](const Walker& w) { me.queue.push_back(w); });
 
         // Chunk the queue and buffer shipments per chunk; chunks are
         // contiguous slices of the queue and each appends its shipments in
@@ -217,8 +185,9 @@ DistWalkReport run_simple_walks_dist(const graph::Graph& g,
                              std::uint32_t hi) {
           auto& out = me.chunk_out[c];
           me.chunk_steps[c] = advance_chunk(
-              std::span<const Walker>(me.queue).subspan(lo, hi - lo), sub,
-              me.targets, cfg, [&](cluster::MachineId dst, Walker shipped) {
+              std::span<const Walker>(me.queue).subspan(lo, hi - lo), g,
+              parts, ctx.self(), cfg,
+              [&](cluster::MachineId dst, Walker shipped) {
                 out.push_back(Outgoing{dst, shipped});
               });
         });

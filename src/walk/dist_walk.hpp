@@ -7,11 +7,14 @@
 // walk workloads plot on the same axes as the cost-model simulations
 // (fig13's measured column).
 //
-// Each machine keeps its owned vertices' targets in global-id order (one
-// 4-byte table per machine), and each exec chunk of its walker queue keeps
-// a group of walkers in flight, stepped round-robin with the next loads
-// prefetched, so a walker that stays local for a long chain does not
-// serialize its cache misses (DESIGN.md §13).
+// A machine owns a vertex set and reads its vertices' runs from the
+// caller's global CSR: walkers carry global vertex ids from start to
+// finish, and a step onto a vertex another machine owns ships the walker
+// there. A walk keeps no per-vertex state and aggregates no ghosts, so it
+// builds no renumbered per-machine subgraph (DESIGN.md §7). Each exec chunk
+// of a machine's walker queue keeps a group of walkers in flight, stepped
+// round-robin with the next loads prefetched, so a walker that stays local
+// for a long chain does not serialize its cache misses (DESIGN.md §13).
 //
 // Every step draws from the counter-based stream keyed on
 // (seed, walker, step) — the same streams run_walks() uses — so a walker's

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -177,7 +178,8 @@ TEST(DistWalk, SuperstepRowsMatchGlobalReference) {
   // shipments per superstep must equal a walk of the global CSR with the
   // same keyed draws. Sinks make walkers dead-end while their group still
   // has others in flight; chunk_edges 16 gives one-walker chunks (the group
-  // never fills), 4096 gives 256-walker chunks.
+  // never fills), 4096 gives 256-walker chunks. The third partition leaves
+  // a part empty: its machine owns no vertex and idles every superstep.
   graph::WattsStrogatzConfig wcfg;
   wcfg.num_vertices = 1024;
   wcfg.k = 4;
@@ -193,8 +195,17 @@ TEST(DistWalk, SuperstepRowsMatchGlobalReference) {
   cfg.length = 12;
   cfg.walks_per_vertex = 2;
   cfg.seed = 29;
-  for (const std::string name : {"chunk-v", "hash"}) {
-    const partition::Partition parts = partition::create(name)->partition(g, 4);
+  const partition::Partition chunk =
+      partition::create("chunk-v")->partition(g, 4);
+  std::vector<partition::PartId> gap(chunk.assignment().begin(),
+                                     chunk.assignment().end());
+  for (partition::PartId& p : gap) p += p >= 2 ? 1 : 0;  // part 2 is empty
+  const std::vector<std::pair<std::string, partition::Partition>> inputs = {
+      {"chunk-v", chunk},
+      {"hash", partition::create("hash")->partition(g, 4)},
+      {"chunk-v with an empty part", partition::Partition(std::move(gap), 5)},
+  };
+  for (const auto& [name, parts] : inputs) {
     const ReferenceRows ref = reference_rows(g, parts, cfg);
     ASSERT_GT(ref.mid_walk_dead_ends, 0u) << name;
     ASSERT_GT(ref.last_step_ships, 0u) << name;
@@ -210,7 +221,7 @@ TEST(DistWalk, SuperstepRowsMatchGlobalReference) {
         ASSERT_EQ(got.run.iterations.size(), ref.supersteps) << at;
         for (std::size_t s = 0; s < ref.supersteps; ++s) {
           const auto& machines = got.run.iterations[s].machines;
-          ASSERT_EQ(machines.size(), 4u) << at;
+          ASSERT_EQ(machines.size(), parts.num_parts()) << at;
           for (std::size_t m = 0; m < machines.size(); ++m) {
             EXPECT_EQ(machines[m].work_items, ref.steps[s][m])
                 << at << " superstep " << s << " machine " << m;

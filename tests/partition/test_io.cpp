@@ -62,10 +62,16 @@ TEST_F(PartitionIoTest, HeaderCarriesSizes) {
 }
 
 TEST_F(PartitionIoTest, RejectsMissingHeader) {
-  std::ofstream f(path("bad.txt"));
-  f << "0 1\n";
-  f.close();
-  EXPECT_THROW(load_partition(path("bad.txt")), std::runtime_error);
+  // No header, then headers whose counts are not whole uint32 tokens: a
+  // count past 2^32 - 1 must not wrap, and "-1" must not read as 2^32 - 1.
+  for (const char* head :
+       {"", "# bpart partition: 4294967297 vertices, 4294967298 parts\n",
+        "# bpart partition: -1 vertices, 2 parts\n"}) {
+    std::ofstream f(path("bad.txt"));
+    f << head << "0 1\n";
+    f.close();
+    EXPECT_THROW(load_partition(path("bad.txt")), std::runtime_error) << head;
+  }
 }
 
 TEST_F(PartitionIoTest, RejectsOutOfRangeValues) {

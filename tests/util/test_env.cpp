@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -120,31 +119,6 @@ TEST_F(ExecThreadsTest, DefaultsToOneWorkerAndJunkFallsThrough) {
   EXPECT_EQ(exec_threads(), 6u);
 }
 
-class GlobalSeedTest : public ::testing::Test {
- protected:
-  void TearDown() override { unsetenv("BPART_SEED"); }
-};
-
-TEST_F(GlobalSeedTest, HonorsEnvOverride) {
-  setenv("BPART_SEED", "12345", 1);
-  EXPECT_EQ(global_seed(), 12345u);
-}
-
-TEST_F(GlobalSeedTest, NegativeFallsThroughToDefault) {
-  unsetenv("BPART_SEED");
-  const std::uint64_t def = global_seed();
-  // stoull would wrap "-1" to 2^64-1; the knob must reject it instead.
-  setenv("BPART_SEED", "-1", 1);
-  EXPECT_EQ(global_seed(), def);
-}
-
-TEST_F(GlobalSeedTest, JunkFallsThroughToDefault) {
-  unsetenv("BPART_SEED");
-  const std::uint64_t def = global_seed();
-  setenv("BPART_SEED", "pepper", 1);
-  EXPECT_EQ(global_seed(), def);
-}
-
 /// Clears the numeric knobs, and the retired knobs RetiredKnobsChangeNothing
 /// sets, for each case and restores them afterwards, so a case may set any
 /// of them.
@@ -189,9 +163,6 @@ TEST_F(EnvKnobs, JunkSuffixFallsThroughToDefault) {
     EXPECT_EQ(exec_threads(), 1u) << '"' << junk << '"';
   }
 
-  setenv("BPART_SEED", "12x", 1);
-  EXPECT_EQ(global_seed(), 17u);
-
   // dataset_scale() keeps its first read; no other case in this binary
   // calls it.
   setenv("BPART_SCALE", "0.5x", 1);
@@ -206,16 +177,16 @@ TEST_F(EnvKnobs, AboveMaximumClamps) {
   // Past uint64 is still a whole number, so it clamps too.
   setenv("BPART_EXEC_THREADS", "99999999999999999999999", 1);
   EXPECT_EQ(exec_threads(), 256u);
-  setenv("BPART_SEED", "99999999999999999999999", 1);
-  EXPECT_EQ(global_seed(), std::numeric_limits<std::uint64_t>::max());
 }
 
 /// What default-configured runs of the layers the retired knobs used to
 /// steer produce: the exec-core chunks of an ExecConfig{} app, the
-/// pipeline's reorder mode, and the registry BPart placement.
+/// pipeline's reorder mode and shuffle seed, and the registry BPart
+/// placement.
 struct DefaultRuns {
   std::uint64_t pagerank_chunks = 0;
   ReorderMode reorder = ReorderMode::kNone;
+  std::uint64_t reorder_seed = 0;
   std::vector<partition::PartId> bpart;
 };
 
@@ -230,13 +201,15 @@ DefaultRuns default_runs(const graph::Graph& g) {
   (void)engine::pagerank(g, p, pr);
   r.pagerank_chunks = chunks.value() - before;
   r.reorder = pipeline::PipelineConfig{}.reorder;
+  r.reorder_seed = pipeline::PipelineConfig{}.reorder_seed;
   return r;
 }
 
 TEST_F(EnvKnobs, RetiredKnobsChangeNothing) {
-  // Chunk size, the stream batch and the reorder mode come from their
-  // config structs only, and no thread is pinned: setting the retired
-  // variables to non-default values must leave every run as it was.
+  // Chunk size, the stream batch, the reorder mode and its shuffle seed
+  // come from their config structs only, and no thread is pinned: setting
+  // the retired variables to non-default values must leave every run as it
+  // was.
   graph::CommunityGraphConfig cfg;
   cfg.num_vertices = 1 << 12;
   cfg.avg_degree = 12.0;
@@ -250,11 +223,14 @@ TEST_F(EnvKnobs, RetiredKnobsChangeNothing) {
   setenv("BPART_STREAM_BATCH", "64", 1);
   setenv("BPART_PIN", "1", 1);
   setenv("BPART_REORDER", "degree", 1);
+  setenv("BPART_SEED", "12345", 1);
   const DefaultRuns set = default_runs(g);
 
   EXPECT_GT(unset.pagerank_chunks, 0u);
   EXPECT_EQ(set.pagerank_chunks, unset.pagerank_chunks);
   EXPECT_EQ(set.reorder, ReorderMode::kNone);
+  EXPECT_EQ(unset.reorder_seed, 17u);  // random-reorder cache keys stay put
+  EXPECT_EQ(set.reorder_seed, unset.reorder_seed);
   EXPECT_EQ(set.bpart, unset.bpart);
 }
 

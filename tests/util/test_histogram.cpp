@@ -7,69 +7,6 @@
 namespace bpart {
 namespace {
 
-TEST(Histogram, BinsSamplesCorrectly) {
-  Histogram h(0, 10, 5);  // bins of width 2
-  h.add(0.0);
-  h.add(1.9);
-  h.add(2.0);
-  h.add(9.99);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, UnderOverflow) {
-  Histogram h(0, 10, 2);
-  h.add(-1);
-  h.add(10);
-  h.add(100);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, WeightedAdd) {
-  Histogram h(0, 4, 4);
-  h.add(1.5, 10);
-  EXPECT_EQ(h.bin_count(1), 10u);
-  EXPECT_EQ(h.total(), 10u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(10, 20, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 10);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 12);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 18);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 20);
-}
-
-TEST(Histogram, QuantileInterpolates) {
-  Histogram h(0, 100, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.0), 0.0, 1.5);
-}
-
-TEST(Histogram, QuantileOfEmptyIsLo) {
-  Histogram h(5, 10, 5);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 5.0);
-}
-
-TEST(Histogram, RejectsDegenerateRange) {
-  EXPECT_THROW(Histogram(1, 1, 4), CheckError);
-  EXPECT_THROW(Histogram(0, 10, 0), CheckError);
-}
-
-TEST(Histogram, RenderMentionsCounts) {
-  Histogram h(0, 2, 2);
-  h.add(0.5, 3);
-  const std::string s = h.render();
-  EXPECT_NE(s.find("3"), std::string::npos);
-  EXPECT_NE(s.find("###"), std::string::npos);
-}
-
 TEST(LogHistogram, PowersOfTwoBuckets) {
   LogHistogram h;
   h.add(0);   // bucket 0
