@@ -9,8 +9,7 @@ namespace bpart::dist {
 
 DistGraph::DistGraph(const graph::Graph& g, const partition::Partition& parts,
                      unsigned threads)
-    : g_(&g),
-      subs_(partition::build_subgraphs(
+    : subs_(partition::build_subgraphs(
           g, parts, resolve_threads(threads, parts.num_parts()))) {
   const graph::VertexId n = g.num_vertices();
   const MachineId machines = num_machines();

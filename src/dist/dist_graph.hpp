@@ -36,7 +36,6 @@ class DistGraph {
   [[nodiscard]] const partition::Subgraph& subgraph(MachineId m) const {
     return subs_[m];
   }
-  [[nodiscard]] const graph::Graph& global_graph() const { return *g_; }
 
   [[nodiscard]] partition::PartId owner(graph::VertexId global) const {
     return owner_[global];
@@ -65,7 +64,6 @@ class DistGraph {
     std::vector<MachineId> holders;
   };
 
-  const graph::Graph* g_;
   std::vector<partition::Subgraph> subs_;
   std::vector<partition::PartId> owner_;
   std::vector<graph::VertexId> owner_local_;

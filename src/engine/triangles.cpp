@@ -20,6 +20,7 @@ bool ranked_before(const graph::Graph& g, graph::VertexId a,
 TriangleResult count_triangles(const graph::Graph& g,
                                const partition::Partition& parts,
                                cluster::CostModel model) {
+  BPART_CHECK_MSG(g.is_symmetric(), "count_triangles needs a symmetric graph");
   DistContext ctx(g, parts, model);
   const graph::VertexId n = g.num_vertices();
 

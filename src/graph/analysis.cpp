@@ -47,14 +47,12 @@ std::vector<VertexId> connected_components(const Graph& g) {
     while (!queue.empty()) {
       const VertexId v = queue.front();
       queue.pop_front();
-      auto visit = [&](VertexId u) {
+      g.for_each_neighbor(v, [&](VertexId u, unsigned) {
         if (label[u] == kInvalidVertex) {
           label[u] = next_label;
           queue.push_back(u);
         }
-      };
-      for (VertexId u : g.out_neighbors(v)) visit(u);
-      for (VertexId u : g.in_neighbors(v)) visit(u);
+      });
     }
     ++next_label;
   }

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "util/env.hpp"
@@ -114,25 +115,29 @@ auto transposed(std::span<const EdgeId> offsets,
   };
 }
 
-/// Finishes a directed CSR from its out-side, whose runs may be in any
-/// order: the in-side is placed from the out-side's transpose, then the
+}  // namespace
+
+/// Finishes a CSR from its out-side, whose runs may be in any order: the
+/// in-side is placed from the out-side's transpose, then a directed graph's
 /// out-runs are placed again from the in-side's transpose — a two-digit
 /// LSD radix sort of the edges that leaves every run of both sides sorted.
-void sort_by_transposing(std::span<const EdgeId> out_offsets,
-                         std::vector<VertexId>& out_targets,
-                         std::vector<EdgeId>& in_offsets,
-                         std::vector<VertexId>& in_targets,
-                         unsigned workers) {
-  const auto n = static_cast<VertexId>(out_offsets.size() - 1);
-  in_offsets = count_keys(n, workers, transposed(out_offsets, out_targets));
-  in_targets.resize(out_targets.size());
-  place_keys(in_offsets, in_targets, workers,
-             transposed(out_offsets, out_targets));
-  place_keys(out_offsets, out_targets, workers,
-             transposed(in_offsets, in_targets));
+/// A one-sided graph keeps that transpose as its side instead: the sorted
+/// out-side on a symmetric input, and, counted from the entries it places,
+/// a valid CSR (never a write past a run) on one that is not.
+void Graph::sort_by_transposing(unsigned workers) {
+  in_offsets_ = count_keys(num_vertices(), workers,
+                           transposed(out_offsets_, out_targets_));
+  in_targets_.resize(out_targets_.size());
+  place_keys(in_offsets_, in_targets_, workers,
+             transposed(out_offsets_, out_targets_));
+  if (one_sided_) {
+    out_offsets_ = std::exchange(in_offsets_, {});
+    out_targets_ = std::exchange(in_targets_, {});
+  } else {
+    place_keys(out_offsets_, out_targets_, workers,
+               transposed(in_offsets_, in_targets_));
+  }
 }
-
-}  // namespace
 
 Graph Graph::from_edges(const EdgeList& edges, unsigned workers) {
   BPART_SPAN("ingest/csr_build", "vertices",
@@ -146,8 +151,7 @@ Graph Graph::from_edges(const EdgeList& edges, unsigned workers) {
   g.out_offsets_ = count_keys(edges.num_vertices(), workers, list);
   g.out_targets_.resize(edges.size());
   place_keys(g.out_offsets_, g.out_targets_, workers, list);
-  sort_by_transposing(g.out_offsets_, g.out_targets_, g.in_offsets_,
-                      g.in_targets_, workers);
+  g.sort_by_transposing(workers);
   return g;
 }
 
@@ -189,9 +193,7 @@ Graph Graph::from_edges_symmetric(EdgeList edges, unsigned workers) {
   }
   g.out_targets_.resize(g.out_offsets_.back());
   g.out_targets_.shrink_to_fit();
-  // Symmetric: v's in-run is its out-run.
-  g.in_offsets_ = g.out_offsets_;
-  g.in_targets_ = g.out_targets_;
+  g.one_sided_ = true;  // Symmetric: v's in-run is its out-run.
   return g;
 }
 
@@ -206,8 +208,10 @@ Graph Graph::relabeled(const Graph& g, std::span<const VertexId> perm,
   for (VertexId v = 0; v < n; ++v) inv[perm[v]] = v;
 
   // New out-run r is the out-run of inv[r] mapped through perm; the
-  // transposes then sort it and derive the in-side, as from_edges does.
+  // transposes then sort it (and derive a two-sided graph's in-side), as
+  // from_edges does.
   Graph h;
+  h.one_sided_ = g.one_sided_;
   h.out_offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
   for (VertexId r = 0; r < n; ++r)
     h.out_offsets_[r + 1] = h.out_offsets_[r] + g.out_degree(inv[r]);
@@ -219,8 +223,7 @@ Graph Graph::relabeled(const Graph& g, std::span<const VertexId> perm,
     for (VertexId r = lo; r < hi; ++r)
       for (const VertexId u : g.out_neighbors(inv[r])) *out++ = perm[u];
   });
-  sort_by_transposing(h.out_offsets_, h.out_targets_, h.in_offsets_,
-                      h.in_targets_, workers);
+  h.sort_by_transposing(workers);
   return h;
 }
 
@@ -261,21 +264,30 @@ Graph Graph::from_csr(std::vector<EdgeId> out_offsets,
                       std::vector<VertexId> out_targets,
                       std::vector<EdgeId> in_offsets,
                       std::vector<VertexId> in_targets) {
-  validate_adjacency(out_offsets, out_targets, "out");
+  Graph g = from_csr(std::move(out_offsets), std::move(out_targets));
   validate_adjacency(in_offsets, in_targets, "in");
-  if (out_offsets.size() != in_offsets.size())
+  if (g.out_offsets_.size() != in_offsets.size())
     throw std::invalid_argument("out/in vertex counts disagree");
-  if (out_targets.size() != in_targets.size())
+  if (g.out_targets_.size() != in_targets.size())
     throw std::invalid_argument("out/in edge counts disagree");
-  Graph g;
-  g.out_offsets_ = std::move(out_offsets);
-  g.out_targets_ = std::move(out_targets);
   g.in_offsets_ = std::move(in_offsets);
   g.in_targets_ = std::move(in_targets);
+  g.one_sided_ = false;
+  return g;
+}
+
+Graph Graph::from_csr(std::vector<EdgeId> offsets,
+                      std::vector<VertexId> targets) {
+  validate_adjacency(offsets, targets, "out");
+  Graph g;
+  g.out_offsets_ = std::move(offsets);
+  g.out_targets_ = std::move(targets);
+  g.one_sided_ = true;
   return g;
 }
 
 bool Graph::is_symmetric() const {
+  if (one_sided_) return true;
   const VertexId n = num_vertices();
   for (VertexId v = 0; v < n; ++v) {
     for (VertexId u : out_neighbors(v)) {

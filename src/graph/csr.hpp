@@ -1,8 +1,9 @@
 // Immutable compressed-sparse-row graph.
 //
-// Stores both out- and in-adjacency so push- and pull-mode engines, the
+// Serves out- and in-adjacency so push- and pull-mode engines, the
 // streaming partitioners (which score a vertex by its neighbors in *either*
-// direction) and the walk engine all read from the same structure.
+// direction) and the walk engine all read from the same structure. A
+// symmetric build stores one side and serves it as both (one_sided()).
 #pragma once
 
 #include <memory>
@@ -40,6 +41,11 @@ class Graph {
                         std::vector<EdgeId> in_offsets,
                         std::vector<VertexId> in_targets);
 
+  /// Adopt one side as a one-sided graph: the same structural checks, but
+  /// the side is taken to be symmetric, not checked to be.
+  static Graph from_csr(std::vector<EdgeId> offsets,
+                        std::vector<VertexId> targets);
+
   Graph() = default;
 
   [[nodiscard]] VertexId num_vertices() const {
@@ -59,7 +65,7 @@ class Graph {
     return out_offsets_[v + 1] - out_offsets_[v];
   }
   [[nodiscard]] EdgeId in_degree(VertexId v) const {
-    return in_offsets_[v + 1] - in_offsets_[v];
+    return in_offsets()[v + 1] - in_offsets()[v];
   }
 
   [[nodiscard]] std::span<const VertexId> out_neighbors(VertexId v) const {
@@ -67,8 +73,18 @@ class Graph {
             out_targets_.data() + out_offsets_[v + 1]};
   }
   [[nodiscard]] std::span<const VertexId> in_neighbors(VertexId v) const {
-    return {in_targets_.data() + in_offsets_[v],
-            in_targets_.data() + in_offsets_[v + 1]};
+    return in_targets().subspan(in_offsets()[v], in_degree(v));
+  }
+
+  /// N(v): fn(u, 1) for every out-neighbor u, then every in-neighbor. A
+  /// one-sided graph scans its one run with fn(u, 2): the same sums of
+  /// `times`, and the same first visit of each u.
+  template <typename Fn>
+  void for_each_neighbor(VertexId v, Fn&& fn) const {
+    const unsigned times = one_sided_ ? 2 : 1;
+    for (const VertexId u : out_neighbors(v)) fn(u, times);
+    if (!one_sided_)
+      for (const VertexId u : in_neighbors(v)) fn(u, times);
   }
 
   /// k-th out-neighbor of v (0 <= k < out_degree(v)); hot path of the
@@ -77,12 +93,10 @@ class Graph {
     return out_targets_[out_offsets_[v] + k];
   }
 
-  /// Global edge index of v's k-th out edge (used as a stable edge id).
-  [[nodiscard]] EdgeId out_edge_index(VertexId v, EdgeId k) const {
-    return out_offsets_[v] + k;
-  }
+  /// Stores one side, served as both: the representation, not a check.
+  [[nodiscard]] bool one_sided() const { return one_sided_; }
 
-  /// True when every (u,v) has a matching (v,u). O(E log d).
+  /// True when every (u,v) has a matching (v,u). O(1) if one_sided().
   [[nodiscard]] bool is_symmetric() const;
 
   /// Out-degree array copy (length n); used by partitioners and stats.
@@ -95,10 +109,10 @@ class Graph {
     return out_targets_;
   }
   [[nodiscard]] std::span<const EdgeId> in_offsets() const {
-    return in_offsets_;
+    return one_sided_ ? out_offsets_ : in_offsets_;
   }
   [[nodiscard]] std::span<const VertexId> in_targets() const {
-    return in_targets_;
+    return one_sided_ ? out_targets_ : in_targets_;
   }
 
  private:
@@ -111,11 +125,15 @@ class Graph {
   static Graph relabeled(const Graph& g, std::span<const VertexId> perm,
                          unsigned workers);
 
+  /// Sorts the out-runs (see csr.cpp); a two-sided graph gets its in-side.
+  void sort_by_transposing(unsigned workers);
+
   // offsets have length n+1 (or 0 for an empty graph); targets length == m.
   std::vector<EdgeId> out_offsets_;
   std::vector<VertexId> out_targets_;
-  std::vector<EdgeId> in_offsets_;
+  std::vector<EdgeId> in_offsets_;  // Both in arrays empty if one_sided_.
   std::vector<VertexId> in_targets_;
+  bool one_sided_ = false;
 };
 
 }  // namespace bpart::graph

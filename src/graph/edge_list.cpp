@@ -65,17 +65,6 @@ void EdgeList::symmetrize() {
   sort_and_dedup();
 }
 
-bool EdgeList::is_symmetric() const {
-  std::vector<Edge> sorted(edges_.begin(), edges_.end());
-  std::sort(sorted.begin(), sorted.end());
-  for (const Edge& e : edges_) {
-    if (!std::binary_search(sorted.begin(), sorted.end(),
-                            Edge{e.dst, e.src}))
-      return false;
-  }
-  return true;
-}
-
 std::vector<EdgeId> EdgeList::out_degrees() const {
   std::vector<EdgeId> deg(num_vertices_, 0);
   for (const Edge& e : edges_) ++deg[e.src];

@@ -56,9 +56,6 @@ class EdgeList {
   /// Add the reverse of every edge, then dedup, making the list symmetric.
   void symmetrize();
 
-  /// True if for every (u,v) the edge (v,u) is also present.
-  [[nodiscard]] bool is_symmetric() const;
-
   /// Per-vertex out-degrees (length num_vertices()).
   [[nodiscard]] std::vector<EdgeId> out_degrees() const;
 

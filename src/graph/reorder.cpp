@@ -64,14 +64,12 @@ std::vector<VertexId> bfs_order(const Graph& g, VertexId source) {
   while (!queue.empty()) {
     const VertexId v = queue.front();
     queue.pop_front();
-    auto visit = [&](VertexId u) {
+    g.for_each_neighbor(v, [&](VertexId u, unsigned) {
       if (perm[u] == kInvalidVertex) {
         perm[u] = next_rank++;
         queue.push_back(u);
       }
-    };
-    for (VertexId u : g.out_neighbors(v)) visit(u);
-    for (VertexId u : g.in_neighbors(v)) visit(u);
+    });
   }
   for (VertexId v = 0; v < n; ++v)
     if (perm[v] == kInvalidVertex) perm[v] = next_rank++;

@@ -36,18 +36,12 @@ class Bisector {
   }
 
   /// Neighbors of v (both directions) inside the subset, by side.
-  void count_sides(graph::VertexId v, const Split& s,
-                   const std::vector<graph::VertexId>& subset,
-                   double out[2]) const {
+  void count_sides(graph::VertexId v, const Split& s, double out[2]) const {
     out[0] = out[1] = 0;
-    auto tally = [&](graph::VertexId u) {
+    g_.for_each_neighbor(v, [&](graph::VertexId u, unsigned times) {
       const std::uint32_t idx = subset_index_[u];
-      if (idx == kNotInSubset) return;
-      out[s.side[idx]] += 1;
-    };
-    for (graph::VertexId u : g_.out_neighbors(v)) tally(u);
-    for (graph::VertexId u : g_.in_neighbors(v)) tally(u);
-    (void)subset;
+      if (idx != kNotInSubset) out[s.side[idx]] += times;
+    });
   }
 
   const graph::Graph& g_;
@@ -142,7 +136,7 @@ std::vector<std::uint8_t> Bisector::bisect(
       const int dst = 1 - src;
       const graph::VertexId v = subset[i];
       double by_side[2];
-      count_sides(v, s, subset, by_side);
+      count_sides(v, s, by_side);
       if (by_side[dst] <= by_side[src]) continue;  // no cut gain
       const double d = degree(v);
       const double dst_dv = (s.v[dst] + 1 - target_v[dst]) /

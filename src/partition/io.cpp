@@ -51,7 +51,7 @@ void save_partition(const Partition& p, const std::string& path) {
   if (!f) fail("write error on " + path);
 }
 
-Partition load_partition(const std::string& path) {
+Partition load_partition(const std::string& path, graph::VertexId vertices) {
   std::ifstream f(path);
   if (!f) fail("cannot open partition: " + path);
   std::string line;
@@ -65,6 +65,8 @@ Partition load_partition(const std::string& path) {
   ++line_no;
   if (!parse_header(trimmed(line), n, k))
     fail(path + ":1: expected '# bpart partition: <n> vertices, <k> parts'");
+  if (n != vertices)
+    fail(path + ":1: expected " + std::to_string(vertices) + " vertices");
 
   Partition p(n, k);
   while (std::getline(f, line)) {

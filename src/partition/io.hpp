@@ -15,8 +15,9 @@ namespace bpart::partition {
 void save_partition(const Partition& p, const std::string& path);
 
 /// Reads the format written by save_partition (missing vertices stay
-/// kUnassigned). Throws std::runtime_error on malformed input, with the
-/// offending line number.
-Partition load_partition(const std::string& path);
+/// kUnassigned) for a graph of `vertices` vertices. Throws
+/// std::runtime_error on malformed input, with the offending line number,
+/// and on a header naming another vertex count, before allocating for it.
+Partition load_partition(const std::string& path, graph::VertexId vertices);
 
 }  // namespace bpart::partition

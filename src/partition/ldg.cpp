@@ -23,13 +23,12 @@ Partition Ldg::partition(const graph::Graph& g, PartId k) const {
   touched.reserve(64);
 
   for (graph::VertexId v = 0; v < n; ++v) {
-    auto count = [&](graph::VertexId u) {
+    g.for_each_neighbor(v, [&](graph::VertexId u, unsigned times) {
       const PartId pu = p[u];
       if (pu == kUnassigned) return;
-      if (overlap[pu]++ == 0) touched.push_back(pu);
-    };
-    for (graph::VertexId u : g.out_neighbors(v)) count(u);
-    for (graph::VertexId u : g.in_neighbors(v)) count(u);
+      if (overlap[pu] == 0) touched.push_back(pu);
+      overlap[pu] += times;
+    });
 
     double best_score = -std::numeric_limits<double>::infinity();
     PartId best = 0;

@@ -42,10 +42,9 @@ WGraph from_graph(const graph::Graph& g) {
   std::vector<std::pair<VertexId, std::uint32_t>> row;
   for (VertexId v = 0; v < n; ++v) {
     row.clear();
-    for (VertexId u : g.out_neighbors(v))
+    g.for_each_neighbor(v, [&](VertexId u, unsigned) {
       if (u != v) row.emplace_back(u, 1);
-    for (VertexId u : g.in_neighbors(v))
-      if (u != v) row.emplace_back(u, 1);
+    });
     std::sort(row.begin(), row.end());
     // Merge duplicates (u appearing in both directions) into one edge of
     // weight 1 — we do not double-count a symmetric pair.

@@ -105,6 +105,8 @@ struct StreamConfig {
 /// maximizing S(v, G_i) = |V_i ∩ N(v)| − α·γ·W_i^(γ−1) (paper Eq. 2).
 /// N(v) holds out- and in-neighbors alike: the same set on the paper's
 /// symmetric graphs, and much lower cuts than out-neighbors on directed ones.
+/// Graph::for_each_neighbor scans it, a one-sided graph's one run counting
+/// each neighbor twice, as out then in would (DESIGN.md §9).
 ///
 /// Only vertices in `vertices` participate: neighbor overlap counts other
 /// subset members already assigned, and balance totals are subset-local.

@@ -92,12 +92,11 @@ RebalanceStats rebalance(const graph::Graph& g, Partition& p,
           (loads.edges[src] - degree - loads.ideal_e) / loads.ideal_e);
 
       // Cut-awareness: count v's neighbors per part.
-      auto count = [&](graph::VertexId u) {
+      g.for_each_neighbor(v, [&](graph::VertexId u, unsigned times) {
         const PartId pu = p[u];
-        if (overlap[pu]++ == 0) touched.push_back(pu);
-      };
-      for (graph::VertexId u : g.out_neighbors(v)) count(u);
-      for (graph::VertexId u : g.in_neighbors(v)) count(u);
+        if (overlap[pu] == 0) touched.push_back(pu);
+        overlap[pu] += times;
+      });
 
       for (PartId dst = 0; dst < k; ++dst) {
         if (dst == src) continue;

@@ -83,14 +83,13 @@ void sequential_stream(const graph::Graph& g,
   touched.reserve(64);
 
   for (graph::VertexId v : verts) {
-    auto count_neighbor = [&](graph::VertexId u) {
+    g.for_each_neighbor(v, [&](graph::VertexId u, unsigned times) {
       if (!in_subset[u]) return;
       const PartId pu = p[u];
       if (pu == kUnassigned) return;
-      if (overlap[pu]++ == 0) touched.push_back(pu);
-    };
-    for (graph::VertexId u : g.out_neighbors(v)) count_neighbor(u);
-    for (graph::VertexId u : g.in_neighbors(v)) count_neighbor(u);
+      if (overlap[pu] == 0) touched.push_back(pu);
+      overlap[pu] += times;
+    });
 
     // Score every part. The penalty derivative α·γ·W^(γ−1) is monotone in
     // W, so among parts with equal overlap the least-loaded wins.
@@ -192,14 +191,13 @@ void buffered_stream(const graph::Graph& g,
       touched.reserve(64);
       for (std::uint32_t idx = lo; idx < hi; ++idx) {
         const graph::VertexId v = verts[base + idx];
-        auto count_neighbor = [&](graph::VertexId u) {
+        g.for_each_neighbor(v, [&](graph::VertexId u, unsigned times) {
           if (!in_subset[u]) return;
           const PartId pu = p[u];
           if (pu == kUnassigned) return;  // includes same-batch neighbors
-          if (overlap[pu]++ == 0) touched.push_back(pu);
-        };
-        for (graph::VertexId u : g.out_neighbors(v)) count_neighbor(u);
-        for (graph::VertexId u : g.in_neighbors(v)) count_neighbor(u);
+          if (overlap[pu] == 0) touched.push_back(pu);
+          overlap[pu] += times;
+        });
 
         // Ties break toward the lower part id regardless of the order
         // neighbors were seen in, so chunking cannot change the choice.
@@ -346,14 +344,13 @@ void restream_refine(const graph::Graph& g,
         for (std::uint32_t idx = lo; idx < hi; ++idx) {
           const graph::VertexId v = order[base + idx];
           const PartId old_part = p[v];
-          auto count_neighbor = [&](graph::VertexId u) {
+          g.for_each_neighbor(v, [&](graph::VertexId u, unsigned times) {
             if (u == v || !in_subset[u]) return;
             const PartId pu = p[u];
             if (pu == kUnassigned) return;
-            if (overlap[pu]++ == 0) touched.push_back(pu);
-          };
-          for (graph::VertexId u : g.out_neighbors(v)) count_neighbor(u);
-          for (graph::VertexId u : g.in_neighbors(v)) count_neighbor(u);
+            if (overlap[pu] == 0) touched.push_back(pu);
+            overlap[pu] += times;
+          });
 
           // Staying put is the baseline: score the current part with v's own
           // Eq. 1 contribution removed (it is part of the snapshot weight),

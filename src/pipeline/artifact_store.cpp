@@ -1,6 +1,5 @@
 #include "pipeline/artifact_store.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -242,8 +241,8 @@ bool ArtifactStore::enabled() {
 }
 
 // Graph payload: n, m, sides (u64 each), out-offsets (n + 1), out-targets
-// (m), then in-offsets and in-targets only when sides == 2. A graph whose
-// in-side equals its out-side (every symmetric build) stores one side.
+// (m), then in-offsets and in-targets only when sides == 2. A one-sided
+// graph (every symmetric build) stores its one side and loads as one.
 std::optional<graph::Graph> ArtifactStore::load_graph(
     const CacheKey& key) const {
   ArtifactFile file(dir_ + "/" + key.hex() + kind_ext(kKindGraph));
@@ -280,11 +279,9 @@ std::optional<graph::Graph> ArtifactStore::load_graph(
       return std::nullopt;
   }
   if (!file.finish()) return std::nullopt;
-  if (sides == 1) {
-    in_off = out_off;
-    in_tgt = out_tgt;
-  }
   try {
+    if (sides == 1)
+      return graph::Graph::from_csr(std::move(out_off), std::move(out_tgt));
     return graph::Graph::from_csr(std::move(out_off), std::move(out_tgt),
                                   std::move(in_off), std::move(in_tgt));
   } catch (const std::exception& e) {
@@ -295,13 +292,11 @@ std::optional<graph::Graph> ArtifactStore::load_graph(
 
 bool ArtifactStore::store_graph(const CacheKey& key,
                                 const graph::Graph& g) const {
-  const bool one_side = std::ranges::equal(g.in_offsets(), g.out_offsets()) &&
-                        std::ranges::equal(g.in_targets(), g.out_targets());
   const std::uint64_t n = g.num_vertices();
   const std::uint64_t m = g.num_edges();
-  const std::uint64_t sides = one_side ? 1 : 2;
+  const std::uint64_t sides = g.one_sided() ? 1 : 2;
   const std::string path = dir_ + "/" + key.hex() + kind_ext(kKindGraph);
-  if (one_side)
+  if (g.one_sided())
     return write_artifact(dir_, path, kKindGraph, key.hash(),
                           {field_bytes(n), field_bytes(m), field_bytes(sides),
                            array_bytes(g.out_offsets()),

@@ -5,6 +5,7 @@
 #include "graph/generators.hpp"
 #include "partition/chunk.hpp"
 #include "partition/hash_partitioner.hpp"
+#include "util/check.hpp"
 
 namespace bpart::engine {
 namespace {
@@ -62,6 +63,17 @@ TEST(Triangles, SquareWithDiagonal) {
   EXPECT_EQ(res.per_vertex[2], 2u);
   EXPECT_EQ(res.per_vertex[1], 1u);
   EXPECT_EQ(res.per_vertex[3], 1u);
+}
+
+TEST(Triangles, DirectedGraphIsRejected) {
+  // The directed triangle 0 -> 1 -> 2 -> 0: no edge has its reverse.
+  EdgeList el;
+  el.add(0, 1);
+  el.add(1, 2);
+  el.add(2, 0);
+  const Graph g = Graph::from_edges(el);
+  EXPECT_THROW(count_triangles(g, partition::ChunkV().partition(g, 1)),
+               CheckError);
 }
 
 TEST(Triangles, PerVertexSumsToThreeTimesTotal) {

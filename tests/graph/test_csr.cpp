@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/reorder.hpp"
 #include "reference_csr.hpp"
 
 namespace bpart::graph {
@@ -53,7 +54,6 @@ TEST(Graph, OutNeighborIndexAccess) {
   const Graph g = Graph::from_edges(triangle_plus_tail());
   EXPECT_EQ(g.out_neighbor(2, 0), 0u);
   EXPECT_EQ(g.out_neighbor(2, 1), 3u);
-  EXPECT_EQ(g.out_edge_index(2, 1), g.out_edge_index(2, 0) + 1);
 }
 
 TEST(Graph, NeighborsAreSortedRegardlessOfInsertOrder) {
@@ -114,6 +114,46 @@ TEST(Graph, FromEdgesSymmetricCleansInput) {
   EXPECT_EQ(g.num_edges(), 2u);
   EXPECT_EQ(g.out_degree(0), 1u);
   EXPECT_EQ(g.out_degree(1), 1u);
+}
+
+/// True when g serves its out arrays as its in-side: one stored side.
+bool shares_sides(const Graph& g) {
+  return g.in_offsets().data() == g.out_offsets().data() &&
+         g.in_targets().data() == g.out_targets().data();
+}
+
+TEST(Graph, SymmetricBuildAndItsRelabelAreOneSided) {
+  const Graph sym = Graph::from_edges_symmetric(triangle_plus_tail());
+  EXPECT_TRUE(sym.one_sided());
+  EXPECT_TRUE(shares_sides(sym));
+  const Graph relabeled = apply_permutation(sym, {3, 1, 0, 2});
+  EXPECT_TRUE(relabeled.one_sided());
+  EXPECT_TRUE(shares_sides(relabeled));
+  // A directed build stays two-sided, even of a symmetric list.
+  EdgeList both;
+  both.add_undirected(0, 1);
+  for (const Graph& g :
+       {Graph::from_edges(triangle_plus_tail()), Graph::from_edges(both)}) {
+    EXPECT_FALSE(g.one_sided());
+    EXPECT_FALSE(shares_sides(g));
+  }
+}
+
+TEST(Graph, OneSidedRelabelCountsTheEntriesItPlaces) {
+  // A one-sided side that is not symmetric, {0->1, 0->2}, as a forged
+  // artifact could hold. Runs laid out from the input's offsets would put
+  // the transpose's entries for 1 and 2 past the end of the targets; the
+  // relabel counts what it places, so it yields the transpose, a CSR that
+  // from_csr's checks accept.
+  const Graph g = Graph::from_csr({0, 2, 2, 2}, {1, 2});
+  EXPECT_TRUE(shares_sides(g));
+  const Graph h = apply_permutation(g, {0, 1, 2});
+  EXPECT_TRUE(h.one_sided());
+  std::vector<EdgeId> off(h.out_offsets().begin(), h.out_offsets().end());
+  std::vector<VertexId> tgt(h.out_targets().begin(), h.out_targets().end());
+  EXPECT_EQ(off, (std::vector<EdgeId>{0, 0, 1, 2}));
+  EXPECT_EQ(tgt, (std::vector<VertexId>{0, 0}));
+  EXPECT_NO_THROW(Graph::from_csr(std::move(off), std::move(tgt)));
 }
 
 TEST(Graph, FromCsrRejectsUnsortedRun) {

@@ -113,7 +113,7 @@ TEST(BarabasiAlbert, IsSymmetric) {
   BarabasiAlbertConfig cfg;
   cfg.num_vertices = 500;
   cfg.attach = 3;
-  EXPECT_TRUE(barabasi_albert(cfg).is_symmetric());
+  EXPECT_TRUE(Graph::from_edges(barabasi_albert(cfg)).is_symmetric());
 }
 
 TEST(BarabasiAlbert, HasPowerLawTail) {

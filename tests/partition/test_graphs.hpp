@@ -2,6 +2,8 @@
 // partitioners are designed for (power-law degrees + communities).
 #pragma once
 
+#include <vector>
+
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 
@@ -28,6 +30,16 @@ inline graph::Graph scale_free_graph() {
   cfg.scale = 13;
   cfg.edge_factor = 16;
   return graph::Graph::from_edges_symmetric(graph::rmat(cfg));
+}
+
+/// A one-sided graph's arrays stored as both sides of a two-sided graph, so
+/// for_each_neighbor scans every run twice, as it does on a directed graph.
+inline graph::Graph two_sided_copy(const graph::Graph& g) {
+  const std::vector<graph::EdgeId> off(g.out_offsets().begin(),
+                                       g.out_offsets().end());
+  const std::vector<graph::VertexId> tgt(g.out_targets().begin(),
+                                         g.out_targets().end());
+  return graph::Graph::from_csr(off, tgt, off, tgt);
 }
 
 }  // namespace bpart::partition::testing

@@ -72,6 +72,26 @@ TEST(ParallelStream, RefinedResultAlsoIdenticalAcrossThreadCounts) {
     ASSERT_EQ(p1[v], p8[v]) << "vertex " << v;
 }
 
+TEST(ParallelStream, OneSidedScanMatchesTwoSidedCopy) {
+  // The buffered pass and its restream read N(v) through
+  // Graph::for_each_neighbor: one run with times = 2 on the one-sided
+  // graph, out then in on its two-sided copy. Same partition either way,
+  // at 1 and 4 workers.
+  const Graph one = social_graph();
+  const Graph two = testing::two_sided_copy(one);
+  const auto all = all_vertices(one);
+  const Partition want =
+      greedy_stream_partition(one, all, 8, buffered_cfg(512, 1));
+  for (const unsigned threads : {1u, 4u}) {
+    for (const Graph* g : {&one, &two}) {
+      const Partition got =
+          greedy_stream_partition(*g, all, 8, buffered_cfg(512, threads));
+      for (graph::VertexId v = 0; v < one.num_vertices(); ++v)
+        ASSERT_EQ(got[v], want[v]) << threads << " threads, vertex " << v;
+    }
+  }
+}
+
 TEST(ParallelStream, SingleBatchFallsBackToSequential) {
   // A batch at least as large as the subset keeps exact scoring: the
   // buffered pass must not degrade small pieces (BPart's late layers).

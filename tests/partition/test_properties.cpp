@@ -2,12 +2,17 @@
 // on every graph family, for every part count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <tuple>
 
+#include "graph/analysis.hpp"
 #include "graph/generators.hpp"
+#include "graph/reorder.hpp"
 #include "partition/metrics.hpp"
+#include "partition/rebalance.hpp"
 #include "partition/registry.hpp"
+#include "test_graphs.hpp"
 
 namespace bpart::partition {
 namespace {
@@ -129,6 +134,37 @@ std::string param_name(const ::testing::TestParamInfo<Param>& info) {
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, PartitionerProperty,
                          ::testing::ValuesIn(all_params()), param_name);
+
+TEST(OneSidedScan, MatchesTwoSidedCopy) {
+  // Graph::for_each_neighbor scans a one-sided graph's run once with
+  // times = 2, where the two-sided copy scans it out then in. Every
+  // partitioner, rebalance, both vertex orders that read N(v) and the
+  // graph's component labels must come out the same either way.
+  const Graph one = testing::social_graph();
+  const Graph two = testing::two_sided_copy(one);
+  ASSERT_TRUE(one.one_sided());
+  ASSERT_FALSE(two.one_sided());
+  const auto same = [](const Partition& a, const Partition& b) {
+    return std::ranges::equal(a.assignment(), b.assignment());
+  };
+  for (const std::string& algo : all_algorithms()) {
+    const auto partitioner = create(algo);
+    EXPECT_TRUE(same(partitioner->partition(one, 8),
+                     partitioner->partition(two, 8)))
+        << algo;
+  }
+  Partition a = create("fennel")->partition(one, 8);
+  Partition b = a;
+  EXPECT_GT(rebalance(one, a).moves, 0u);
+  rebalance(two, b);
+  EXPECT_TRUE(same(a, b));
+  for (const ReorderMode mode : {ReorderMode::kDegree, ReorderMode::kBfs})
+    EXPECT_EQ(graph::select_order(one, mode, 17),
+              graph::select_order(two, mode, 17))
+        << reorder_mode_name(mode);
+  EXPECT_EQ(graph::connected_components(one),
+            graph::connected_components(two));
+}
 
 }  // namespace
 }  // namespace bpart::partition
