@@ -5,12 +5,6 @@
 // run the default auto restream (one prioritized refinement pass), which is
 // what claws the snapshot scoring's cut degradation back to within a few
 // percent of sequential; a no-refine row shows the raw gap for reference.
-//
-// A second section measures the StreamScratch hoist: BPart's combining
-// layers and recursive bisection call the streaming pass once per small
-// piece, and the per-call |V|-sized membership bitset used to dominate those
-// calls. The scratch rows stream 512 small pieces with a fresh bitset per
-// call vs one shared StreamScratch.
 #include "common.hpp"
 
 #include <numeric>
@@ -116,36 +110,6 @@ int main(int argc, char** argv) {
     const double s = time_stream(g, order, k, cfg, repeats, &p);
     add_row("buffered/t" + std::to_string(threads), batch, threads, 1, s,
             seq_seconds, seq_cut, p);
-  }
-
-  // --- scratch hoist: 512 small-piece passes, fresh vs shared bitset ------
-  const std::size_t pieces = 512;
-  const std::size_t piece_len = (order.size() + pieces - 1) / pieces;
-  for (const bool shared : {false, true}) {
-    partition::StreamScratch scratch;
-    Timer timer;
-    for (std::size_t base_idx = 0; base_idx < order.size();
-         base_idx += piece_len) {
-      const std::size_t len =
-          std::min(piece_len, order.size() - base_idx);
-      partition::StreamConfig cfg = base;
-      cfg.scratch = shared ? &scratch : nullptr;
-      (void)partition::greedy_stream_partition(
-          g, std::span<const graph::VertexId>(order).subspan(base_idx, len),
-          2, cfg);
-    }
-    const double s = timer.seconds();
-    table.row()
-        .cell(shared ? "scratch/shared" : "scratch/fresh")
-        .cell(0)
-        .cell(1)
-        .cell(0)
-        .cell(s)
-        .cell(0.0)
-        .cell(0.0)
-        .cell(0.0)
-        .cell(0.0)
-        .cell(0.0);
   }
 
   bench::emit(

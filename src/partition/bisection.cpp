@@ -47,7 +47,6 @@ class Bisector {
   const graph::Graph& g_;
   const BisectionConfig& cfg_;
   std::vector<std::uint32_t> subset_index_;
-  StreamScratch stream_scratch_;  ///< Shared by every bisection's stream init.
 };
 
 std::vector<std::uint8_t> Bisector::bisect(
@@ -57,9 +56,8 @@ std::vector<std::uint8_t> Bisector::bisect(
     subset_index_[subset[i]] = static_cast<std::uint32_t>(i);
 
   // --- Init: weighted stream into two pieces (roughly 50/50) -------------
-  StreamConfig stream_cfg{.balance_weight_c = cfg_.stream_c};
-  stream_cfg.scratch = &stream_scratch_;  // reused across the recursion
-  const Partition init = greedy_stream_partition(g_, subset, 2, stream_cfg);
+  const Partition init = greedy_stream_partition(
+      g_, subset, 2, StreamConfig{.balance_weight_c = cfg_.stream_c});
   Split s;
   s.side.resize(n);
   double total_v = 0, total_e = 0;

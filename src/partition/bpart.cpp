@@ -209,12 +209,6 @@ Partition BPart::partition_traced(const graph::Graph& g, PartId k,
   stream_cfg.batch_size = cfg_.stream_batch;
   stream_cfg.threads = cfg_.stream_threads;
   stream_cfg.refine_passes = cfg_.refine_passes;
-  // One scratch for every layer's streaming pass: the combining loop calls
-  // greedy_stream_partition once per layer over ever-smaller remainders,
-  // and the |V|-sized membership bitset dominates the cost of the small
-  // late-layer pieces when rebuilt from scratch each time.
-  StreamScratch scratch;
-  stream_cfg.scratch = &scratch;
 
   std::vector<graph::VertexId> remaining(n);
   std::iota(remaining.begin(), remaining.end(), graph::VertexId{0});
@@ -285,7 +279,6 @@ Partition BPart::partition_traced(const graph::Graph& g, PartId k,
       rem_vertices += grp.vertices;
       rem_edges += grp.edges;
     }
-    std::vector<graph::VertexId> still_remaining;
     unsigned accepted = 0;
     for (PieceStat& grp : groups) {
       const unsigned parts_after =
@@ -310,9 +303,6 @@ Partition BPart::partition_traced(const graph::Graph& g, PartId k,
         ++accepted;
         rem_vertices -= grp.vertices;
         rem_edges -= grp.edges;
-      } else {
-        still_remaining.insert(still_remaining.end(), grp.members.begin(),
-                               grp.members.end());
       }
     }
     if (trace != nullptr) {
@@ -323,8 +313,12 @@ Partition BPart::partition_traced(const graph::Graph& g, PartId k,
               << " rounds=" << rounds << " accepted=" << accepted
               << " remaining_parts=" << (k - next_final_part);
 
-    remaining = std::move(still_remaining);
-    std::sort(remaining.begin(), remaining.end());  // deterministic order
+    // The groups cover `remaining` exactly, so the rejected ones are the
+    // vertices `result` still reads unassigned; one ascending scan streams
+    // them in id order next layer.
+    remaining.clear();
+    for (graph::VertexId v = 0; v < n; ++v)
+      if (result[v] == kUnassigned) remaining.push_back(v);
     oversplit *= 2;
   }
 

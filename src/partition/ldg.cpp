@@ -18,26 +18,26 @@ Partition Ldg::partition(const graph::Graph& g, PartId k) const {
   const double capacity =
       slack_ * std::ceil(static_cast<double>(n) / static_cast<double>(k));
   std::vector<std::uint64_t> size(k, 0);
+  // overlap[i] = |P_i ∩ N(v)| for the current vertex; the k-part scan
+  // reads every entry and zeroes it for the next vertex.
   std::vector<std::uint32_t> overlap(k, 0);
-  std::vector<PartId> touched;
-  touched.reserve(64);
 
   for (graph::VertexId v = 0; v < n; ++v) {
     g.for_each_neighbor(v, [&](graph::VertexId u, unsigned times) {
       const PartId pu = p[u];
-      if (pu == kUnassigned) return;
-      if (overlap[pu] == 0) touched.push_back(pu);
-      overlap[pu] += times;
+      if (pu != kUnassigned) overlap[pu] += times;
     });
 
     double best_score = -std::numeric_limits<double>::infinity();
     PartId best = 0;
     std::uint64_t best_size = std::numeric_limits<std::uint64_t>::max();
     for (PartId i = 0; i < k; ++i) {
+      const std::uint32_t ov = overlap[i];
+      overlap[i] = 0;
       const double remaining =
           1.0 - static_cast<double>(size[i]) / capacity;
       if (remaining <= 0.0) continue;
-      const double score = static_cast<double>(overlap[i]) * remaining;
+      const double score = static_cast<double>(ov) * remaining;
       // Ties (common when overlap is 0 everywhere) go to the emptiest part
       // — the published LDG tie-break.
       if (score > best_score ||
@@ -55,8 +55,6 @@ Partition Ldg::partition(const graph::Graph& g, PartId k) const {
     }
     p.assign(v, best);
     ++size[best];
-    for (PartId t : touched) overlap[t] = 0;
-    touched.clear();
   }
   return p;
 }

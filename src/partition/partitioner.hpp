@@ -29,19 +29,6 @@ class Partitioner {
                                             PartId k) const = 0;
 };
 
-/// Reusable scratch state of the streaming pass. `greedy_stream_partition`
-/// builds a |V|-sized membership bitset per call; during BPart's multilevel
-/// combining (and recursive bisection) that rebuild happens once per piece,
-/// which for small pieces costs more than the scoring itself (see
-/// bench/ext_parallel_stream's scratch note). Passing one StreamScratch via
-/// StreamConfig::scratch amortizes the allocation: the bitset is grown once
-/// and only the entries of the current subset are flipped back afterwards.
-///
-/// Not thread-safe: one StreamScratch per concurrent streaming pass.
-struct StreamScratch {
-  std::vector<bool> in_subset;  ///< Invariant: all-false between passes.
-};
-
 /// Configuration of the greedy streaming pass shared by Fennel and BPart.
 struct StreamConfig {
   /// Weighting factor c in the paper's Eq. 1. c=1 reduces W_i to |V_i|
@@ -96,9 +83,6 @@ struct StreamConfig {
   /// passes (after a sequential pass they restream with batch 1, i.e.
   /// against fully exact state).
   unsigned refine_passes = kRefineAuto;
-
-  /// Optional reusable scratch (see StreamScratch). May be nullptr.
-  StreamScratch* scratch = nullptr;
 };
 
 /// Stream `vertices` (in the given order) into k fresh parts, greedily
@@ -111,8 +95,14 @@ struct StreamConfig {
 /// Only vertices in `vertices` participate: neighbor overlap counts other
 /// subset members already assigned, and balance totals are subset-local.
 /// Returns a full-size Partition in which vertices outside the subset are
-/// kUnassigned. Passing all vertices of g gives the classic whole-graph
-/// streaming partition.
+/// kUnassigned; the pass reads subset membership off that fresh partition,
+/// so it allocates nothing |V|-sized beyond it. A vertex listed twice
+/// throws CheckError. Passing all vertices of g gives the classic
+/// whole-graph streaming partition.
+///
+/// The sequential pass costs one O(deg) neighbor scan plus k compares per
+/// vertex: each part's W_i and penalty are cached and only the chosen
+/// part's are recomputed, one `pow` per assignment (DESIGN.md §9).
 ///
 /// With cfg.batch_size > 0 the pass runs the parallel buffered protocol
 /// documented in DESIGN.md §9: score a batch of vertices concurrently

@@ -70,25 +70,30 @@ struct Calibration {
 /// serves as the warm-up prefix of the buffered pass: scoring the first
 /// batch against an all-empty snapshot would dump it onto one part, so the
 /// buffered pass streams its first batch exactly and buffers the rest.
+///
+/// Per vertex: one O(deg) neighbor scan plus k compares. Each part's W_i
+/// and penalty are cached, and only the chosen part's are recomputed (one
+/// `pow` per assignment), so the scores equal a full per-vertex rescore.
 void sequential_stream(const graph::Graph& g,
                        std::span<const graph::VertexId> verts, PartId k,
-                       const Calibration& cal,
-                       const std::vector<bool>& in_subset, Partition& p,
+                       const Calibration& cal, Partition& p,
                        std::vector<PartState>& state) {
-  // Scatter buffer: overlap[i] = |V_i ∩ N(v)| for the current vertex; only
-  // the entries touched via `touched` are reset afterwards, keeping the
-  // per-vertex cost O(deg) instead of O(k).
+  // overlap[i] = |V_i ∩ N(v)| for the current vertex; the k-part scan
+  // reads every entry and zeroes it for the next vertex.
   std::vector<std::uint32_t> overlap(k, 0);
-  std::vector<PartId> touched;
-  touched.reserve(64);
+  std::vector<double> wt(k);
+  std::vector<double> pen(k);
+  for (PartId i = 0; i < k; ++i) {
+    wt[i] = cal.weight(state[i]);
+    pen[i] = cal.penalty(wt[i], cal.alpha);
+  }
 
   for (graph::VertexId v : verts) {
+    BPART_CHECK_MSG(p[v] == kUnassigned,
+                    "duplicate vertex " << v << " in subset");
     g.for_each_neighbor(v, [&](graph::VertexId u, unsigned times) {
-      if (!in_subset[u]) return;
       const PartId pu = p[u];
-      if (pu == kUnassigned) return;
-      if (overlap[pu] == 0) touched.push_back(pu);
-      overlap[pu] += times;
+      if (pu != kUnassigned) overlap[pu] += times;
     });
 
     // Score every part. The penalty derivative α·γ·W^(γ−1) is monotone in
@@ -98,14 +103,15 @@ void sequential_stream(const graph::Graph& g,
     double min_weight = std::numeric_limits<double>::infinity();
     PartId least_loaded = 0;
     for (PartId i = 0; i < k; ++i) {
-      const double w = cal.weight(state[i]);
+      const std::uint32_t ov = overlap[i];
+      overlap[i] = 0;
+      const double w = wt[i];
       if (w < min_weight) {
         min_weight = w;
         least_loaded = i;
       }
       if (w >= cal.capacity) continue;  // hard cap
-      const double score =
-          static_cast<double>(overlap[i]) - cal.penalty(w, cal.alpha);
+      const double score = static_cast<double>(ov) - pen[i];
       if (score > best_score) {
         best_score = score;
         best = i;
@@ -118,9 +124,8 @@ void sequential_stream(const graph::Graph& g,
     p.assign(v, best);
     ++state[best].vertices;
     state[best].edges += g.out_degree(v);
-
-    for (PartId t : touched) overlap[t] = 0;
-    touched.clear();
+    wt[best] = cal.weight(state[best]);
+    pen[best] = cal.penalty(wt[best], cal.alpha);
   }
 }
 
@@ -139,8 +144,8 @@ void sequential_stream(const graph::Graph& g,
 void buffered_stream(const graph::Graph& g,
                      std::span<const graph::VertexId> verts, PartId k,
                      const Calibration& cal, std::uint32_t batch,
-                     exec::Executor& ex, const std::vector<bool>& in_subset,
-                     Partition& p, std::vector<PartState>& state) {
+                     exec::Executor& ex, Partition& p,
+                     std::vector<PartState>& state) {
   const std::size_t n = verts.size();
   std::vector<double> snap_weight(k, 0.0);
   std::vector<double> snap_penalty(k, 0.0);
@@ -192,7 +197,6 @@ void buffered_stream(const graph::Graph& g,
       for (std::uint32_t idx = lo; idx < hi; ++idx) {
         const graph::VertexId v = verts[base + idx];
         g.for_each_neighbor(v, [&](graph::VertexId u, unsigned times) {
-          if (!in_subset[u]) return;
           const PartId pu = p[u];
           if (pu == kUnassigned) return;  // includes same-batch neighbors
           if (overlap[pu] == 0) touched.push_back(pu);
@@ -248,8 +252,12 @@ void buffered_stream(const graph::Graph& g,
     if (!needs_exact_commit) {
       // Even the post-batch loads stay under the cap, so no per-vertex
       // check could have fired: bulk-apply the choices and the deltas.
-      for (std::size_t idx = 0; idx < bn; ++idx)
-        p.assign(verts[base + idx], choice[idx]);
+      for (std::size_t idx = 0; idx < bn; ++idx) {
+        const graph::VertexId v = verts[base + idx];
+        BPART_CHECK_MSG(p[v] == kUnassigned,
+                        "duplicate vertex " << v << " in subset");
+        p.assign(v, choice[idx]);
+      }
       for (PartId i = 0; i < k; ++i) {
         state[i].vertices += merged[i].vertices;
         state[i].edges += merged[i].edges;
@@ -258,6 +266,8 @@ void buffered_stream(const graph::Graph& g,
       std::uint64_t fallbacks = 0;
       for (std::size_t idx = 0; idx < bn; ++idx) {
         const graph::VertexId v = verts[base + idx];
+        BPART_CHECK_MSG(p[v] == kUnassigned,
+                        "duplicate vertex " << v << " in subset");
         PartId c = choice[idx];
         if (c == kUnassigned || cal.weight(state[c]) >= cal.capacity) {
           double min_weight = std::numeric_limits<double>::infinity();
@@ -297,8 +307,7 @@ void buffered_stream(const graph::Graph& g,
 void restream_refine(const graph::Graph& g,
                      std::span<const graph::VertexId> verts, PartId k,
                      const Calibration& cal, unsigned passes,
-                     std::uint32_t batch, exec::Executor& ex,
-                     const std::vector<bool>& in_subset, Partition& p,
+                     std::uint32_t batch, exec::Executor& ex, Partition& p,
                      std::vector<PartState>& state) {
   std::vector<graph::VertexId> order(verts.begin(), verts.end());
   std::sort(order.begin(), order.end(),
@@ -345,7 +354,7 @@ void restream_refine(const graph::Graph& g,
           const graph::VertexId v = order[base + idx];
           const PartId old_part = p[v];
           g.for_each_neighbor(v, [&](graph::VertexId u, unsigned times) {
-            if (u == v || !in_subset[u]) return;
+            if (u == v) return;
             const PartId pu = p[u];
             if (pu == kUnassigned) return;
             if (overlap[pu] == 0) touched.push_back(pu);
@@ -434,33 +443,14 @@ Partition greedy_stream_partition(const graph::Graph& g,
   Partition p(g.num_vertices(), k);
   if (vertices.empty()) return p;
 
-  // Subset membership lives in the (possibly caller-provided) scratch so
-  // multi-piece callers — BPart's combining layers, recursive bisection —
-  // pay the |V|-sized allocation once instead of once per piece. The guard
-  // restores the all-false invariant on every exit path, including the
-  // BPART_CHECK throws below, by clearing exactly the subset's entries.
-  StreamScratch local_scratch;
-  StreamScratch& scratch =
-      cfg.scratch != nullptr ? *cfg.scratch : local_scratch;
-  if (scratch.in_subset.size() < g.num_vertices())
-    scratch.in_subset.resize(g.num_vertices(), false);
-  std::vector<bool>& in_subset = scratch.in_subset;
-  struct MarkGuard {
-    std::vector<bool>& bits;
-    std::span<const graph::VertexId> verts;
-    ~MarkGuard() {
-      for (graph::VertexId v : verts)
-        if (v < bits.size()) bits[v] = false;
-    }
-  } guard{in_subset, vertices};
-
   // Subset-local totals drive the calibration of α and the capacity cap.
+  // Subset membership is read off `p`: it is fresh, so every vertex outside
+  // the subset reads kUnassigned in every pass and adds no overlap.
+  // Duplicate entries are caught where each vertex is assigned.
   const auto n_subset = static_cast<double>(vertices.size());
   std::uint64_t m_subset = 0;
   for (graph::VertexId v : vertices) {
     BPART_CHECK(v < g.num_vertices());
-    BPART_CHECK_MSG(!in_subset[v], "duplicate vertex " << v << " in subset");
-    in_subset[v] = true;
     m_subset += g.out_degree(v);
   }
 
@@ -489,14 +479,13 @@ Partition greedy_stream_partition(const graph::Graph& g,
   exec::Executor ex(buffered ? workers : 1);
 
   if (!buffered) {
-    sequential_stream(g, vertices, k, cal, in_subset, p, state);
+    sequential_stream(g, vertices, k, cal, p, state);
   } else {
     // Warm-up: stream the first batch exactly. Scoring it against the
     // initial all-empty snapshot would give every vertex the same zero
     // overlap and the same penalty, collapsing the batch onto one part.
-    sequential_stream(g, vertices.first(batch), k, cal, in_subset, p, state);
-    buffered_stream(g, vertices.subspan(batch), k, cal, batch, ex, in_subset,
-                    p, state);
+    sequential_stream(g, vertices.first(batch), k, cal, p, state);
+    buffered_stream(g, vertices.subspan(batch), k, cal, batch, ex, p, state);
   }
 
   // kRefineAuto ties refinement to buffering: the snapshot scoring trades
@@ -506,8 +495,8 @@ Partition greedy_stream_partition(const graph::Graph& g,
   unsigned refine = cfg.refine_passes;
   if (refine == StreamConfig::kRefineAuto) refine = buffered ? 1 : 0;
   if (refine > 0)
-    restream_refine(g, vertices, k, cal, refine, buffered ? batch : 1, ex,
-                    in_subset, p, state);
+    restream_refine(g, vertices, k, cal, refine, buffered ? batch : 1, ex, p,
+                    state);
   return p;
 }
 

@@ -111,6 +111,34 @@ TEST(GreedyStream, RejectsDuplicateSubsetEntries) {
                CheckError);
 }
 
+// Buffered pass at batch 64 over 256 vertices: [0, 64) is the sequential
+// warm-up batch, [192, 256) the last buffered batch. Slack 0 (no cap)
+// commits every batch in bulk; at slack 1.0 the last batch fills the parts
+// to capacity, so it commits vertex by vertex against exact state.
+void expect_buffered_duplicate_throws(graph::VertexId first_idx,
+                                      graph::VertexId dup_idx) {
+  const Graph g = social_graph();
+  std::vector<graph::VertexId> verts(256);
+  std::iota(verts.begin(), verts.end(), graph::VertexId{0});
+  verts[dup_idx] = verts[first_idx];
+  for (const double slack : {0.0, 1.0}) {
+    StreamConfig cfg;
+    cfg.batch_size = 64;
+    cfg.threads = 2;
+    cfg.capacity_slack = slack;
+    EXPECT_THROW(greedy_stream_partition(g, verts, 2, cfg), CheckError)
+        << "slack " << slack;
+  }
+}
+
+TEST(GreedyStream, RejectsDuplicateInsideOneBufferedBatch) {
+  expect_buffered_duplicate_throws(200, 250);
+}
+
+TEST(GreedyStream, RejectsDuplicateAcrossWarmupAndBufferedBatch) {
+  expect_buffered_duplicate_throws(10, 200);
+}
+
 TEST(GreedyStream, EmptySubsetIsNoop) {
   const Graph g = social_graph();
   const Partition p = greedy_stream_partition(g, {}, 4, StreamConfig{});

@@ -145,45 +145,6 @@ TEST(ParallelStream, RefinementImprovesSequentialCutToo) {
   EXPECT_LE(edge_cut_ratio(g, refined), edge_cut_ratio(g, plain) + 1e-9);
 }
 
-TEST(ParallelStream, ScratchReuseLeavesNoResidue) {
-  // Two passes sharing one StreamScratch over different subsets must match
-  // fresh-scratch runs exactly — any stale membership bit would leak the
-  // first subset into the second pass's neighbor counting.
-  const Graph g = social_graph();
-  std::vector<graph::VertexId> evens;
-  std::vector<graph::VertexId> odds;
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
-    (v % 2 == 0 ? evens : odds).push_back(v);
-
-  StreamScratch shared;
-  StreamConfig cfg;
-  cfg.scratch = &shared;
-  const Partition ea = greedy_stream_partition(g, evens, 4, cfg);
-  const Partition oa = greedy_stream_partition(g, odds, 4, cfg);
-
-  const Partition eb = greedy_stream_partition(g, evens, 4, StreamConfig{});
-  const Partition ob = greedy_stream_partition(g, odds, 4, StreamConfig{});
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    ASSERT_EQ(ea[v], eb[v]) << "vertex " << v;
-    ASSERT_EQ(oa[v], ob[v]) << "vertex " << v;
-  }
-}
-
-TEST(ParallelStream, ScratchSurvivesDuplicateSubsetThrow) {
-  const Graph g = social_graph();
-  StreamScratch shared;
-  StreamConfig cfg;
-  cfg.scratch = &shared;
-  const std::vector<graph::VertexId> dup{1, 2, 1};
-  EXPECT_THROW(greedy_stream_partition(g, dup, 2, cfg), CheckError);
-  // The guard must have cleared the marks set before the throw.
-  const auto all = all_vertices(g);
-  const Partition after = greedy_stream_partition(g, all, 4, cfg);
-  const Partition fresh = greedy_stream_partition(g, all, 4, StreamConfig{});
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
-    ASSERT_EQ(after[v], fresh[v]) << "vertex " << v;
-}
-
 TEST(ParallelStream, EnvKnobRoutesEveryStreamingPartitioner) {
   // An explicit batch size must reach the streaming pass of every
   // partitioner that takes one — Fennel through StreamConfig::batch_size,
